@@ -7,7 +7,7 @@ use hc_common::clock::{SimClock, SimDuration, SimInstant};
 use hc_common::id::TxId;
 use hc_ledger::block::Transaction;
 use hc_ledger::chain::{CheckpointConfig, Ledger};
-use hc_ledger::consensus::{PbftCluster, PipelinedCluster};
+use hc_ledger::consensus::PbftCluster;
 use hc_ledger::policy::ProvenancePolicy;
 use std::hint::black_box;
 
@@ -44,10 +44,9 @@ fn bench_grow_and_prune(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(blocks), &blocks, |b, &blocks| {
             b.iter(|| {
                 let clock = SimClock::new();
-                let cluster =
-                    PipelinedCluster::new(4, 16, SimDuration::from_millis(1), clock.clone())
-                        .unwrap();
-                let mut ledger = Ledger::new_pipelined(cluster, clock);
+                let link = SimDuration::from_millis(1);
+                let cluster = PbftCluster::pipelined(4, 16, link, clock.clone()).unwrap();
+                let mut ledger = Ledger::new(cluster, clock);
                 ledger.install_policy(Box::new(ProvenancePolicy));
                 ledger.enable_checkpoints(CheckpointConfig::every(16));
                 let batches: Vec<Vec<Transaction>> = (0..blocks as u128)

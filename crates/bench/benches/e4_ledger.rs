@@ -1,12 +1,12 @@
 //! E4 — blockchain commit cost vs peer count and batch size, plus the
-//! pipelined engine and the parallel validation stream.
+//! pipelined window and the parallel validation stream.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hc_common::clock::{SimClock, SimDuration, SimInstant};
 use hc_common::id::TxId;
 use hc_ledger::block::Transaction;
 use hc_ledger::chain::Ledger;
-use hc_ledger::consensus::{PbftCluster, PipelinedCluster};
+use hc_ledger::consensus::PbftCluster;
 use hc_ledger::policy::ProvenancePolicy;
 use std::hint::black_box;
 
@@ -79,7 +79,7 @@ fn bench_pipelined_propose(c: &mut Criterion) {
     for peers in [4usize, 7, 13] {
         group.bench_with_input(BenchmarkId::from_parameter(peers), &peers, |b, &peers| {
             let mut cluster =
-                PipelinedCluster::new(peers, 16, SimDuration::from_millis(1), SimClock::new())
+                PbftCluster::pipelined(peers, 16, SimDuration::from_millis(1), SimClock::new())
                     .unwrap();
             b.iter(|| black_box(cluster.propose().unwrap().messages))
         });
@@ -99,9 +99,9 @@ fn bench_submit_stream(c: &mut Criterion) {
                 b.iter(|| {
                     let clock = SimClock::new();
                     let cluster =
-                        PipelinedCluster::new(4, 16, SimDuration::from_millis(1), clock.clone())
+                        PbftCluster::pipelined(4, 16, SimDuration::from_millis(1), clock.clone())
                             .unwrap();
-                    let mut ledger = Ledger::new_pipelined(cluster, clock);
+                    let mut ledger = Ledger::new(cluster, clock);
                     ledger.install_policy(Box::new(ProvenancePolicy));
                     let batches: Vec<Vec<Transaction>> = (0..32)
                         .map(|_| {

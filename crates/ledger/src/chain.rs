@@ -1,12 +1,11 @@
 //! The ledger: policy-validated append, full-chain verification,
 //! pipelined/parallel block commitment, and Merkle checkpointing.
 //!
-//! Two commitment engines sit behind one chain (see [`Engine`]): the
-//! strictly sequential [`PbftCluster`] and the windowed
-//! [`PipelinedCluster`]. Block contents are engine-independent — blocks
-//! are stamped from transaction content, so both engines produce
-//! byte-identical chains for the same batch schedule (the differential
-//! property `tests/ledger_pipeline.rs` locks down).
+//! One [`PbftCluster`] commits every block. Block contents do not depend
+//! on its window — blocks are stamped from transaction content, so any
+//! window produces a chain byte-identical to window 1 for the same batch
+//! schedule (the differential property `tests/ledger_pipeline.rs` locks
+//! down).
 //!
 //! Checkpoints anchor the chain for audit at scale: every `interval`
 //! blocks the ledger seals a Merkle *interval root* over that interval's
@@ -24,7 +23,7 @@ use hc_crypto::sha256::Digest;
 use hc_telemetry::{Counter, Gauge, Registry};
 
 use crate::block::{Block, BlockHeader, Transaction};
-use crate::consensus::{ConsensusError, ConsensusOutcome, PbftCluster, PipelinedCluster};
+use crate::consensus::{ConsensusError, ConsensusOutcome, PbftCluster};
 use crate::policy::ChainPolicy;
 
 /// Errors from ledger operations.
@@ -39,8 +38,6 @@ pub enum LedgerError {
     },
     /// Consensus could not commit the block.
     Consensus(ConsensusError),
-    /// The consensus round completed without a quorum.
-    NoQuorum,
     /// An empty batch was submitted.
     EmptyBatch,
     /// A transaction payload could not be serialised.
@@ -54,7 +51,6 @@ impl std::fmt::Display for LedgerError {
                 write!(f, "policy `{policy}` rejected transaction: {reason}")
             }
             LedgerError::Consensus(e) => write!(f, "consensus error: {e}"),
-            LedgerError::NoQuorum => f.write_str("no quorum"),
             LedgerError::EmptyBatch => f.write_str("empty transaction batch"),
             LedgerError::Encoding(e) => write!(f, "transaction payload encoding failed: {e}"),
         }
@@ -81,67 +77,6 @@ pub enum ChainStatus {
         /// What was wrong.
         reason: String,
     },
-}
-
-/// The consensus engine committing blocks onto the chain.
-#[derive(Debug)]
-pub enum Engine {
-    /// One PBFT instance at a time — the original E4 baseline.
-    Sequential(PbftCluster),
-    /// Up to a window of overlapped PBFT instances (boxed: the slot
-    /// window makes this variant much larger than the sequential one).
-    Pipelined(Box<PipelinedCluster>),
-}
-
-impl Engine {
-    fn propose(&mut self) -> Result<ConsensusOutcome, ConsensusError> {
-        match self {
-            Engine::Sequential(c) => c.propose(),
-            Engine::Pipelined(c) => c.propose(),
-        }
-    }
-
-    /// Commits every in-flight instance; a no-op for the sequential
-    /// engine, which never defers commitment.
-    pub fn drain(&mut self) -> usize {
-        match self {
-            Engine::Sequential(_) => 0,
-            Engine::Pipelined(c) => c.drain(),
-        }
-    }
-
-    /// Peers in the committing cluster.
-    pub fn peer_count(&self) -> usize {
-        match self {
-            Engine::Sequential(c) => c.peer_count(),
-            Engine::Pipelined(c) => c.peer_count(),
-        }
-    }
-
-    /// Marks a peer crashed (true) or recovered (false).
-    pub fn set_faulty(&mut self, peer: usize, faulty: bool) {
-        match self {
-            Engine::Sequential(c) => c.set_faulty(peer, faulty),
-            Engine::Pipelined(c) => c.set_faulty(peer, faulty),
-        }
-    }
-
-    /// Total protocol messages exchanged so far.
-    pub fn total_messages(&self) -> u64 {
-        match self {
-            Engine::Sequential(c) => c.total_messages(),
-            Engine::Pipelined(c) => c.total_messages(),
-        }
-    }
-
-    /// Mirrors the engine's consensus metrics into `registry`
-    /// (`ledger.consensus.*` or `ledger.pipeline.*`).
-    pub fn instrument(&mut self, registry: &Registry) {
-        match self {
-            Engine::Sequential(c) => c.instrument(registry),
-            Engine::Pipelined(c) => c.instrument(registry),
-        }
-    }
 }
 
 /// Checkpointing policy: how often to seal, how much body to retain.
@@ -369,7 +304,7 @@ pub struct Ledger {
     /// leaves checkpoint interval trees are built from.
     block_hashes: Vec<Digest>,
     policies: Vec<Box<dyn ChainPolicy>>,
-    engine: Engine,
+    engine: PbftCluster,
     clock: SimClock,
     ckpt_config: Option<CheckpointConfig>,
     checkpoints: Vec<Checkpoint>,
@@ -390,19 +325,9 @@ impl std::fmt::Debug for Ledger {
 }
 
 impl Ledger {
-    /// Creates a ledger committed sequentially by `cluster`.
-    pub fn new(cluster: PbftCluster, clock: SimClock) -> Self {
-        Self::with_engine(Engine::Sequential(cluster), clock)
-    }
-
-    /// Creates a ledger committed by a pipelined cluster: proposals
-    /// overlap up to the cluster's window.
-    pub fn new_pipelined(cluster: PipelinedCluster, clock: SimClock) -> Self {
-        Self::with_engine(Engine::Pipelined(Box::new(cluster)), clock)
-    }
-
-    /// Creates a ledger over an explicit engine.
-    pub fn with_engine(engine: Engine, clock: SimClock) -> Self {
+    /// Creates a ledger committed by `engine`; proposals overlap up to
+    /// the engine's window.
+    pub fn new(engine: PbftCluster, clock: SimClock) -> Self {
         Ledger {
             blocks: Vec::new(),
             pruned_headers: Vec::new(),
@@ -487,35 +412,18 @@ impl Ledger {
         &mut self.blocks
     }
 
-    /// The sequential consensus cluster (to inject faults in
-    /// tests/benches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ledger runs the pipelined engine — use
-    /// [`Ledger::engine_mut`] there.
-    pub fn cluster_mut(&mut self) -> &mut PbftCluster {
-        match &mut self.engine {
-            Engine::Sequential(c) => c,
-            Engine::Pipelined(_) => {
-                // hc-lint: allow(panic-macro) documented contract for a test/bench accessor; misuse is a programming error
-                panic!("ledger runs the pipelined engine; use engine_mut()")
-            }
-        }
-    }
-
-    /// The consensus engine.
-    pub fn engine_mut(&mut self) -> &mut Engine {
+    /// The consensus engine (to inject faults in tests and benches).
+    pub fn engine_mut(&mut self) -> &mut PbftCluster {
         &mut self.engine
     }
 
     /// The consensus engine (shared view).
-    pub fn engine(&self) -> &Engine {
+    pub fn engine(&self) -> &PbftCluster {
         &self.engine
     }
 
-    /// Commits every in-flight consensus instance (pipelined engine);
-    /// returns how many were drained.
+    /// Commits every in-flight consensus instance; returns how many were
+    /// drained (always 0 at window 1).
     pub fn flush_consensus(&mut self) -> usize {
         self.engine.drain()
     }
@@ -732,14 +640,11 @@ impl Ledger {
     ///
     /// # Errors
     ///
-    /// Fails on policy violations, consensus configuration errors, or a
-    /// failed quorum; nothing is appended in those cases.
+    /// Fails on policy violations or when consensus cannot gather a
+    /// quorum; nothing is appended in those cases.
     pub fn submit(&mut self, transactions: Vec<Transaction>) -> Result<ConsensusOutcome, LedgerError> {
         Self::validate_batch(&self.policies, &transactions)?;
         let outcome = self.engine.propose()?;
-        if !outcome.committed {
-            return Err(LedgerError::NoQuorum);
-        }
         let merkle_root = Block::transactions_root(&transactions);
         self.append_block(merkle_root, transactions);
         Ok(outcome)
@@ -754,8 +659,8 @@ impl Ledger {
     ///
     /// Batches already validated when a later batch fails are committed;
     /// the error reports the first failure and the outcome of everything
-    /// before it is preserved on-chain. With the pipelined engine the
-    /// pipeline is drained before returning.
+    /// before it is preserved on-chain. The consensus pipeline is drained
+    /// before returning.
     ///
     /// # Errors
     ///
@@ -798,10 +703,7 @@ impl Ledger {
                         return;
                     }
                     let result = prepared.and_then(|root| {
-                        let outcome = this.engine.propose()?;
-                        if !outcome.committed {
-                            return Err(LedgerError::NoQuorum);
-                        }
+                        this.engine.propose()?;
                         committed.transactions += batch.len() as u64;
                         committed.blocks += 1;
                         this.append_block(root, batch);
@@ -994,8 +896,8 @@ mod tests {
     #[test]
     fn consensus_failure_prevents_append() {
         let mut l = ledger();
-        l.cluster_mut().set_faulty(1, true);
-        l.cluster_mut().set_faulty(2, true); // > f for n=4
+        l.engine_mut().set_faulty(1, true);
+        l.engine_mut().set_faulty(2, true); // > f for n=4
         assert!(matches!(
             l.submit(vec![tx(1, "ingested", "x")]),
             Err(LedgerError::Consensus(_))
@@ -1012,14 +914,13 @@ mod tests {
         assert_eq!(l.channel_summary().get("provenance"), Some(&2));
     }
 
-    use crate::consensus::PipelinedCluster;
     use hc_common::id::TxId as RawTxId;
 
     fn pipelined_ledger(window: usize) -> Ledger {
         let clock = SimClock::new();
         let cluster =
-            PipelinedCluster::new(4, window, SimDuration::from_millis(1), clock.clone()).unwrap();
-        let mut ledger = Ledger::new_pipelined(cluster, clock);
+            PbftCluster::pipelined(4, window, SimDuration::from_millis(1), clock.clone()).unwrap();
+        let mut ledger = Ledger::new(cluster, clock);
         ledger.install_policy(Box::new(ProvenancePolicy));
         ledger
     }

@@ -8,30 +8,23 @@
 //! is faulty), which is what E4's peer-count sweep measures. Crash faults
 //! are injected per peer; safety holds as long as at most `f` peers are
 //! faulty.
+//!
+//! One engine, [`PbftCluster`], commits every block. Its only setting is
+//! the in-flight *window*: window 1 (the default) is strictly sequential
+//! PBFT, and a larger window overlaps the phases of consecutive blocks
+//! with in-order commitment through the model-checked [`SlotWindow`].
 
 use hc_common::clock::{SimClock, SimDuration, SimInstant};
 use hc_common::fault::{FaultInjector, FaultKind};
 use hc_telemetry::{Counter, Gauge, Histogram, Registry};
 
-/// Registry handles for consensus metrics (`ledger.consensus.*`).
-#[derive(Clone, Debug)]
-struct ConsensusInstruments {
-    rounds: Counter,
-    commits: Counter,
-    messages: Counter,
-    view_changes: Counter,
-    quorum_failures: Counter,
-    latency: Histogram,
-}
-
 /// The outcome of one consensus instance.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ConsensusOutcome {
-    /// Whether the value committed.
-    pub committed: bool,
     /// Total protocol messages exchanged.
     pub messages: u64,
-    /// Simulated wall time from proposal to commit.
+    /// Simulated time from proposal to commit, including any view-change
+    /// delay paid first.
     pub latency: SimDuration,
     /// View changes performed before success (0 = primary was honest).
     pub view_changes: u32,
@@ -64,154 +57,6 @@ impl std::fmt::Display for ConsensusError {
 
 impl std::error::Error for ConsensusError {}
 
-/// A simulated PBFT cluster.
-#[derive(Debug)]
-pub struct PbftCluster {
-    n: usize,
-    faulty: Vec<bool>,
-    primary: usize,
-    link_latency: SimDuration,
-    view_change_timeout: SimDuration,
-    clock: SimClock,
-    total_messages: u64,
-    instruments: Option<ConsensusInstruments>,
-}
-
-impl PbftCluster {
-    /// Creates a cluster of `n` peers (n ≥ 4) with the given link latency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConsensusError::TooFewPeers`] for `n < 4`.
-    pub fn new(n: usize, link_latency: SimDuration, clock: SimClock) -> Result<Self, ConsensusError> {
-        if n < 4 {
-            return Err(ConsensusError::TooFewPeers(n));
-        }
-        Ok(PbftCluster {
-            n,
-            faulty: vec![false; n],
-            primary: 0,
-            link_latency,
-            view_change_timeout: link_latency.saturating_mul(10),
-            clock,
-            total_messages: 0,
-            instruments: None,
-        })
-    }
-
-    /// Mirrors per-instance consensus metrics into `registry` under
-    /// `ledger.consensus.*` (rounds, commits, messages, view changes,
-    /// quorum failures, and a simulated commit-latency histogram).
-    pub fn instrument(&mut self, registry: &Registry) {
-        self.instruments = Some(ConsensusInstruments {
-            rounds: registry.counter("ledger.consensus.rounds"),
-            commits: registry.counter("ledger.consensus.commits"),
-            messages: registry.counter("ledger.consensus.messages"),
-            view_changes: registry.counter("ledger.consensus.view_changes"),
-            quorum_failures: registry.counter("ledger.consensus.quorum_failures"),
-            latency: registry.histogram("ledger.consensus.sim_latency_ns"),
-        });
-    }
-
-    /// Number of peers.
-    pub fn peer_count(&self) -> usize {
-        self.n
-    }
-
-    /// The fault tolerance `f = ⌊(n-1)/3⌋`.
-    pub fn tolerated_faults(&self) -> usize {
-        (self.n - 1) / 3
-    }
-
-    /// Marks a peer crashed (true) or recovered (false).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer >= n`.
-    pub fn set_faulty(&mut self, peer: usize, faulty: bool) {
-        self.faulty[peer] = faulty;
-    }
-
-    /// Current primary index.
-    pub fn primary(&self) -> usize {
-        self.primary
-    }
-
-    /// Total messages across all instances so far.
-    pub fn total_messages(&self) -> u64 {
-        self.total_messages
-    }
-
-    fn honest_count(&self) -> usize {
-        self.faulty.iter().filter(|f| !*f).count()
-    }
-
-    /// Runs one consensus instance over an opaque value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConsensusError::TooManyFaults`] when more than `f` peers
-    /// are crashed — the instance can never gather a quorum.
-    pub fn propose(&mut self) -> Result<ConsensusOutcome, ConsensusError> {
-        let f = self.tolerated_faults();
-        let faulty_count = self.n - self.honest_count();
-        if faulty_count > f {
-            if let Some(inst) = &self.instruments {
-                inst.rounds.inc();
-                inst.quorum_failures.inc();
-            }
-            return Err(ConsensusError::TooManyFaults {
-                faulty: faulty_count,
-                tolerated: f,
-            });
-        }
-
-        let quorum = 2 * f + 1;
-        let mut messages = 0u64;
-        let mut latency = SimDuration::ZERO;
-        let mut view_changes = 0u32;
-
-        // Rotate past faulty primaries, paying a view change each time.
-        while self.faulty[self.primary] {
-            view_changes += 1;
-            latency += self.view_change_timeout;
-            // View-change messages: every honest replica broadcasts.
-            messages += (self.honest_count() as u64) * (self.n as u64 - 1);
-            self.primary = (self.primary + 1) % self.n;
-        }
-
-        let honest = self.honest_count() as u64;
-        // Pre-prepare: primary → all others.
-        messages += self.n as u64 - 1;
-        latency += self.link_latency;
-        // Prepare: every honest non-primary broadcasts.
-        messages += (honest - 1) * (self.n as u64 - 1);
-        latency += self.link_latency;
-        // Commit: every honest replica broadcasts.
-        messages += honest * (self.n as u64 - 1);
-        latency += self.link_latency;
-
-        let committed = self.honest_count() >= quorum;
-        self.total_messages += messages;
-        self.clock.advance(latency);
-        if let Some(inst) = &self.instruments {
-            inst.rounds.inc();
-            if committed {
-                inst.commits.inc();
-            }
-            inst.messages.add(messages);
-            inst.view_changes.add(view_changes as u64);
-            inst.latency.record(latency.as_nanos());
-        }
-        Ok(ConsensusOutcome {
-            committed,
-            messages,
-            latency,
-            view_changes,
-        })
-    }
-}
-
 /// Per-slot vote bookkeeping for [`SlotWindow`].
 #[derive(Debug, Default)]
 struct SlotVotes {
@@ -231,9 +76,9 @@ struct SlotVotes {
 /// consensus slots with per-slot vote tracking and a strictly in-order
 /// commit log.
 ///
-/// [`PbftCluster`] runs one instance at a time; [`PipelinedCluster`]
-/// overlaps instances — slot `s+1` gathers prepare votes while slot `s`
-/// is still collecting commits, up to `window` blocks in flight. The
+/// With a window above 1, [`PbftCluster`] overlaps instances — slot
+/// `s+1` gathers prepare votes while slot `s` is still collecting
+/// commits, up to `window` blocks in flight. The
 /// safety obligation that overlap introduces is *in-order commitment*:
 /// sequence `s+1` must never apply before `s`, however the quorums
 /// interleave, and a ring slot must never be recycled for `s+window`
@@ -243,7 +88,7 @@ struct SlotVotes {
 /// shared commit log that defers ready slots until all predecessors have
 /// committed. Lock nesting is strictly log → slot, so the window is also
 /// a clean specimen for lock-order analysis. It is the production
-/// bookkeeping structure of [`PipelinedCluster`] *and* the registered
+/// bookkeeping structure of [`PbftCluster`] *and* the registered
 /// `ledger.slot-window` hc-mc model.
 #[derive(Debug)]
 pub struct SlotWindow {
@@ -392,9 +237,9 @@ impl SlotWindow {
     }
 }
 
-/// Registry handles for pipelined-consensus metrics (`ledger.pipeline.*`).
+/// Registry handles for consensus metrics (`ledger.consensus.*`).
 #[derive(Clone, Debug)]
-struct PipelineInstruments {
+struct ConsensusInstruments {
     proposed: Counter,
     committed: Counter,
     messages: Counter,
@@ -405,7 +250,7 @@ struct PipelineInstruments {
     latency: Histogram,
 }
 
-/// One in-flight consensus instance inside [`PipelinedCluster`].
+/// One in-flight consensus instance inside [`PbftCluster`].
 #[derive(Clone, Copy, Debug)]
 struct InFlight {
     seq: u64,
@@ -414,24 +259,24 @@ struct InFlight {
 
 /// Fault point consulted on every proposal: a fired
 /// [`FaultKind::HostCrash`](hc_common::fault::FaultKind) crashes the
-/// current primary mid-pipeline.
-pub const FAULT_PIPELINE_CRASH: &str = "ledger.pipeline.crash";
+/// current primary.
+pub const FAULT_CONSENSUS_CRASH: &str = "ledger.consensus.crash";
 /// Stateful fault point: while active, the cluster's partitioned peer
-/// set (see [`PipelinedCluster::set_partition_peers`]) is unreachable.
-pub const FAULT_PIPELINE_PARTITION: &str = "ledger.pipeline.partition";
+/// set (see [`PbftCluster::set_partition_peers`]) is unreachable.
+pub const FAULT_CONSENSUS_PARTITION: &str = "ledger.consensus.partition";
 
-/// A pipelined PBFT cluster: the three phases of up to `window` blocks
-/// overlap, so the pre-prepare of block `k+1` is issued while block `k`
-/// is still gathering prepare/commit quorums (ROADMAP item 1).
+/// A simulated PBFT cluster keeping up to `window` blocks in flight.
 ///
-/// Like [`PbftCluster`] the simulation is *accounting-faithful*: each
-/// block still exchanges the full three-phase message complement and
-/// commits `3 × link_latency` after its proposal, but proposals no
-/// longer wait for the previous commit — the simulated clock only
-/// advances when the in-flight window is full (back-pressure) or the
-/// pipeline is drained. Steady-state throughput is therefore `window`
-/// blocks per three link round-trips: a `window`-fold speedup over the
-/// strictly sequential cluster at identical message cost per block.
+/// Every block exchanges the full three-phase message complement and
+/// commits `3 × link_latency` after its proposal. With window 1 each
+/// proposal commits before [`PbftCluster::propose`] returns, so the
+/// shared clock has moved by exactly the outcome's latency. A larger
+/// window overlaps the phases of consecutive blocks: the pre-prepare of
+/// block `k+1` is issued while block `k` is still gathering quorums, and
+/// the clock only advances when the window fills (the oldest block then
+/// commits at the end of the call) or the pipeline drains. Steady-state
+/// throughput is therefore `window` blocks per three link round-trips at
+/// an identical per-block message bill.
 ///
 /// Vote bookkeeping and in-order commitment run through the same
 /// [`SlotWindow`] the model checker explores, so the ordering invariant
@@ -443,7 +288,7 @@ pub const FAULT_PIPELINE_PARTITION: &str = "ledger.pipeline.partition";
 /// the timeout and the view-change broadcast are charged and the
 /// primary rotates.
 #[derive(Debug)]
-pub struct PipelinedCluster {
+pub struct PbftCluster {
     n: usize,
     faulty: Vec<bool>,
     partitioned: Vec<bool>,
@@ -458,12 +303,22 @@ pub struct PipelinedCluster {
     total_messages: u64,
     committed_blocks: u64,
     injector: Option<FaultInjector>,
-    instruments: Option<PipelineInstruments>,
+    instruments: Option<ConsensusInstruments>,
 }
 
-impl PipelinedCluster {
-    /// Creates a pipelined cluster of `n` peers (n ≥ 4) keeping up to
-    /// `window` blocks in flight.
+impl PbftCluster {
+    /// Creates a sequential (window 1) cluster of `n` peers (n ≥ 4) with
+    /// the given link latency.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConsensusError::TooFewPeers`] for `n < 4`.
+    pub fn new(n: usize, link_latency: SimDuration, clock: SimClock) -> Result<Self, ConsensusError> {
+        Self::pipelined(n, 1, link_latency, clock)
+    }
+
+    /// Creates a cluster of `n` peers (n ≥ 4) keeping up to `window`
+    /// blocks in flight.
     ///
     /// # Errors
     ///
@@ -472,14 +327,14 @@ impl PipelinedCluster {
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn new(
+    pub fn pipelined(
         n: usize,
         window: usize,
         link_latency: SimDuration,
         clock: SimClock,
     ) -> Result<Self, ConsensusError> {
         let votes = SlotWindow::new(n, window)?;
-        Ok(PipelinedCluster {
+        Ok(PbftCluster {
             n,
             faulty: vec![false; n],
             partitioned: vec![false; n],
@@ -500,23 +355,24 @@ impl PipelinedCluster {
         })
     }
 
-    /// Mirrors pipeline metrics into `registry` under `ledger.pipeline.*`.
+    /// Mirrors consensus metrics into `registry` under
+    /// `ledger.consensus.*`.
     pub fn instrument(&mut self, registry: &Registry) {
-        self.instruments = Some(PipelineInstruments {
-            proposed: registry.counter("ledger.pipeline.proposed"),
-            committed: registry.counter("ledger.pipeline.committed"),
-            messages: registry.counter("ledger.pipeline.messages"),
-            view_changes: registry.counter("ledger.pipeline.view_changes"),
-            drains: registry.counter("ledger.pipeline.drains"),
-            quorum_failures: registry.counter("ledger.pipeline.quorum_failures"),
-            in_flight: registry.gauge("ledger.pipeline.in_flight"),
-            latency: registry.histogram("ledger.pipeline.commit_sim_latency_ns"),
+        self.instruments = Some(ConsensusInstruments {
+            proposed: registry.counter("ledger.consensus.proposed"),
+            committed: registry.counter("ledger.consensus.committed"),
+            messages: registry.counter("ledger.consensus.messages"),
+            view_changes: registry.counter("ledger.consensus.view_changes"),
+            drains: registry.counter("ledger.consensus.drains"),
+            quorum_failures: registry.counter("ledger.consensus.quorum_failures"),
+            in_flight: registry.gauge("ledger.consensus.in_flight"),
+            latency: registry.histogram("ledger.consensus.sim_latency_ns"),
         });
     }
 
     /// Consults `injector` on every proposal:
-    /// [`FAULT_PIPELINE_CRASH`] crashes the current primary;
-    /// [`FAULT_PIPELINE_PARTITION`] severs the configured partition set
+    /// [`FAULT_CONSENSUS_CRASH`] crashes the current primary;
+    /// [`FAULT_CONSENSUS_PARTITION`] severs the configured partition set
     /// while active.
     pub fn attach_faults(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
@@ -572,7 +428,8 @@ impl PipelinedCluster {
         self.committed_blocks
     }
 
-    /// Blocks proposed but not yet committed.
+    /// Blocks proposed but not yet committed (always below the window
+    /// between calls).
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
@@ -598,11 +455,11 @@ impl PipelinedCluster {
         let Some(injector) = self.injector.clone() else {
             return false;
         };
-        if matches!(injector.check(FAULT_PIPELINE_CRASH), Some(FaultKind::HostCrash)) {
+        if matches!(injector.check(FAULT_CONSENSUS_CRASH), Some(FaultKind::HostCrash)) {
             let primary = self.primary;
             self.set_faulty(primary, true);
         }
-        let active = injector.is_active(FAULT_PIPELINE_PARTITION);
+        let active = injector.is_active(FAULT_CONSENSUS_PARTITION);
         for p in &mut self.partitioned {
             *p = false;
         }
@@ -653,25 +510,25 @@ impl PipelinedCluster {
         drained
     }
 
-    /// Proposes the next block in the pipeline.
+    /// Proposes the next block.
     ///
-    /// Admission: when the window is full, the oldest in-flight block is
-    /// completed first (this is the only point, besides view changes and
-    /// [`PipelinedCluster::drain`], where the simulated clock advances).
     /// A faulty primary triggers a view change that drains the pipeline,
     /// pays the timeout plus the view-change broadcast, and rotates the
-    /// primary past every unreachable peer.
+    /// primary past every unreachable peer. Once the proposal fills the
+    /// window, the oldest in-flight block commits before the call
+    /// returns — with window 1 that is the proposed block itself. This
+    /// and view changes are the only points, besides
+    /// [`PbftCluster::drain`], where the simulated clock advances.
     ///
     /// The returned outcome's latency is the block's proposal-to-commit
-    /// span (`3 × link_latency`, plus any view-change delay paid first);
-    /// commitment itself is deferred until the window forces it or the
-    /// pipeline drains.
+    /// span (`3 × link_latency`, plus any view-change delay paid first).
     ///
     /// # Errors
     ///
     /// Returns [`ConsensusError::TooManyFaults`] when more than `f`
-    /// peers are unreachable — in-flight blocks stay queued until a
-    /// heal or an explicit drain.
+    /// peers are unreachable — the instance can never gather a quorum.
+    /// The clock and message count are untouched, and in-flight blocks
+    /// stay queued until a heal or an explicit drain.
     pub fn propose(&mut self) -> Result<ConsensusOutcome, ConsensusError> {
         let partition_active = self.apply_injected_faults();
         let f = self.tolerated_faults();
@@ -692,7 +549,8 @@ impl PipelinedCluster {
         let mut view_changes = 0u32;
         // Rotate past faulty primaries. Prepared certificates survive a
         // view change, so the pipeline drains (committing in order)
-        // before the timeout and broadcast are charged.
+        // before the timeout and the broadcast of every honest replica
+        // are charged.
         while self.effective_faulty(self.primary, partition_active) {
             self.drain();
             view_changes += 1;
@@ -702,20 +560,16 @@ impl PipelinedCluster {
             self.primary = (self.primary + 1) % self.n;
         }
 
-        // Window admission: complete the oldest block when full.
-        while self.in_flight.len() >= self.votes.window() {
-            self.complete_oldest();
-        }
-
+        // Between calls at most `window - 1` blocks are in flight, so the
+        // ring slot for `seq` is always free here.
         let seq = self.next_seq;
         self.next_seq += 1;
         let opened = self.votes.open(seq);
-        debug_assert!(opened, "admission loop must have freed the ring slot");
+        debug_assert!(opened, "a full window must have committed its oldest block");
 
         let honest = self.honest_count(partition_active) as u64;
-        // The full three-phase message complement, identical to the
-        // sequential cluster: pipelining buys latency overlap, not
-        // cheaper messages.
+        // The full three-phase message complement for every block:
+        // pipelining buys latency overlap, not cheaper messages.
         messages += self.n as u64 - 1; // pre-prepare: primary → all
         messages += (honest - 1) * (self.n as u64 - 1); // prepare broadcast
         messages += honest * (self.n as u64 - 1); // commit broadcast
@@ -730,11 +584,17 @@ impl PipelinedCluster {
             inst.proposed.inc();
             inst.messages.add(messages);
             inst.view_changes.add(view_changes as u64);
-            inst.in_flight.set(self.in_flight.len() as i64);
             inst.latency.record(latency.as_nanos());
         }
+
+        // Window full: the oldest block commits now.
+        while self.in_flight.len() >= self.votes.window() {
+            self.complete_oldest();
+        }
+        if let Some(inst) = &self.instruments {
+            inst.in_flight.set(self.in_flight.len() as i64);
+        }
         Ok(ConsensusOutcome {
-            committed: true,
             messages,
             latency,
             view_changes,
@@ -754,7 +614,6 @@ mod tests {
     fn healthy_cluster_commits() {
         let mut c = cluster(4);
         let out = c.propose().unwrap();
-        assert!(out.committed);
         assert_eq!(out.view_changes, 0);
         assert_eq!(out.latency, SimDuration::from_millis(3));
     }
@@ -772,8 +631,7 @@ mod tests {
         let mut c = cluster(7); // f = 2
         c.set_faulty(1, true);
         c.set_faulty(2, true);
-        let out = c.propose().unwrap();
-        assert!(out.committed);
+        assert!(c.propose().is_ok());
     }
 
     #[test]
@@ -795,7 +653,6 @@ mod tests {
         let mut c = cluster(4);
         c.set_faulty(0, true);
         let out = c.propose().unwrap();
-        assert!(out.committed);
         assert_eq!(out.view_changes, 1);
         assert_eq!(c.primary(), 1);
         assert!(out.latency > SimDuration::from_millis(3));
@@ -834,8 +691,7 @@ mod tests {
         for peer in 3..7 {
             c.set_faulty(peer, false);
         }
-        let out = c.propose().unwrap();
-        assert!(out.committed);
+        assert!(c.propose().is_ok());
     }
 
     #[test]
@@ -854,6 +710,28 @@ mod tests {
         let _ = c.propose().unwrap();
         assert_eq!(clock.now().as_millis(), 12);
         assert!(c.total_messages() > 0);
+    }
+
+    #[test]
+    fn window_one_commits_before_propose_returns() {
+        let clock = SimClock::new();
+        let mut c = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
+        let registry = Registry::new();
+        c.instrument(&registry);
+        let out = c.propose().unwrap();
+        assert_eq!(c.window(), 1);
+        assert_eq!(c.in_flight(), 0);
+        assert_eq!(c.committed_blocks(), 1);
+        assert_eq!(clock.now().duration_since(SimInstant::ZERO), out.latency);
+        assert_eq!(c.drain(), 0);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("ledger.consensus.proposed"), Some(1));
+        assert_eq!(snap.counter("ledger.consensus.committed"), Some(1));
+        assert_eq!(
+            snap.counter("ledger.consensus.messages"),
+            Some(out.messages)
+        );
+        assert_eq!(snap.gauge("ledger.consensus.in_flight"), Some(0));
     }
 
     fn opened_window(n: usize, window: usize, seqs: u64) -> SlotWindow {
@@ -917,28 +795,31 @@ mod tests {
         );
     }
 
-    fn pipelined(n: usize, window: usize, clock: SimClock) -> PipelinedCluster {
-        PipelinedCluster::new(n, window, SimDuration::from_millis(1), clock).unwrap()
+    fn pipelined(n: usize, window: usize, clock: SimClock) -> PbftCluster {
+        PbftCluster::pipelined(n, window, SimDuration::from_millis(1), clock).unwrap()
     }
 
     #[test]
     fn pipelined_overlaps_proposals_until_window_fills() {
         let clock = SimClock::new();
         let mut c = pipelined(4, 4, clock.clone());
-        for _ in 0..4 {
-            let out = c.propose().unwrap();
-            assert!(out.committed);
+        for _ in 0..3 {
+            let _ = c.propose().unwrap();
         }
-        // Four proposals in flight, zero sim time spent: the phases of
-        // all four blocks overlap.
-        assert_eq!(c.in_flight(), 4);
+        // Three proposals in flight, zero sim time spent: the phases of
+        // all three blocks overlap.
+        assert_eq!(c.in_flight(), 3);
         assert_eq!(clock.now().as_millis(), 0);
-        // The fifth proposal back-pressures: the oldest block commits
-        // at its 3L deadline before the slot is recycled.
+        // The fourth proposal fills the window: the oldest block commits
+        // at its 3L deadline before the call returns.
         let _ = c.propose().unwrap();
-        assert_eq!(c.in_flight(), 4);
+        assert_eq!(c.in_flight(), 3);
         assert_eq!(clock.now().as_millis(), 3);
-        assert_eq!(c.drain(), 4);
+        // The fifth was proposed at 3 ms, when block 1 was also due.
+        let _ = c.propose().unwrap();
+        assert_eq!(c.in_flight(), 3);
+        assert_eq!(clock.now().as_millis(), 3);
+        assert_eq!(c.drain(), 3);
         assert_eq!(c.committed_blocks(), 5);
         assert!(c.slot_window().in_order());
     }
@@ -1009,7 +890,7 @@ mod tests {
         let mut c = pipelined(4, 4, clock.clone());
         let injector = FaultInjector::new(clock, 7);
         injector.schedule(
-            FAULT_PIPELINE_CRASH,
+            FAULT_CONSENSUS_CRASH,
             FaultSpec::always(FaultKind::HostCrash).limit(1),
         );
         c.attach_faults(injector.clone());
@@ -1032,7 +913,7 @@ mod tests {
         c.attach_faults(injector.clone());
         let _ = c.propose().unwrap();
         injector.schedule(
-            FAULT_PIPELINE_PARTITION,
+            FAULT_CONSENSUS_PARTITION,
             FaultSpec::always(FaultKind::NetworkPartition),
         );
         // Default cut severs ⌈n/2⌉ peers > f: liveness lost.
@@ -1040,9 +921,8 @@ mod tests {
             c.propose().unwrap_err(),
             ConsensusError::TooManyFaults { .. }
         ));
-        injector.heal(FAULT_PIPELINE_PARTITION);
-        let out = c.propose().unwrap();
-        assert!(out.committed);
+        injector.heal(FAULT_CONSENSUS_PARTITION);
+        assert!(c.propose().is_ok());
         c.drain();
         assert_eq!(c.committed_blocks(), 2);
         assert!(c.slot_window().in_order());

@@ -12,9 +12,9 @@
 //!   plus the prunable [`block::BlockHeader`] form.
 //! * [`consensus`] — a PBFT-style three-phase consensus simulation over a
 //!   fixed peer set with crash-fault injection and view changes; it
-//!   accounts messages and simulated latency for E4. Two engines exist:
-//!   the sequential [`consensus::PbftCluster`] and the windowed
-//!   [`consensus::PipelinedCluster`], whose in-order commitment runs
+//!   accounts messages and simulated latency for E4. One engine,
+//!   [`consensus::PbftCluster`], runs a window of in-flight blocks —
+//!   window 1 is sequential PBFT — whose in-order commitment runs
 //!   through the model-checked [`consensus::SlotWindow`].
 //! * [`chain`] — the ledger: policy-validated append, full-chain
 //!   verification, channel-scoped queries, parallel block validation

@@ -213,8 +213,8 @@ fn phi_rules(
     // lives. (De-identification code that must log a PHI value uses an
     // inline allow.)
     //
-    // In taint mode (the default) a PHI-*named* argument that the dataflow
-    // engine conclusively proved clean — e.g. rebound from a
+    // A PHI-*named* argument that the dataflow engine conclusively proved
+    // clean — e.g. rebound from a
     // `privacy::deidentify(..)` result — is suppressed. Taint evidence,
     // inconclusive analysis, or no dataflow coverage (macro outside any
     // parsed fn body) all keep the lexical finding: the engine may only
@@ -224,7 +224,7 @@ fn phi_rules(
             if let Some(ty) = cfg.matches_phi_ident(ident) {
                 let key = (*line, ident.clone());
                 let proven_clean = td.fmt_clean.contains(&key) && !td.fmt_tainted.contains(&key);
-                if proven_clean && !cfg.lexical_phi {
+                if proven_clean {
                     continue;
                 }
                 push(

@@ -252,7 +252,7 @@ fn slot_window() -> Model {
             // A 4-peer cluster always clears the n >= 4 floor; the
             // factory has no error channel, so an impossible rejection
             // may abort the checker run. This is the same SlotWindow
-            // PipelinedCluster uses in production, opened over a
+            // PbftCluster uses in production, opened over a
             // 3-deep in-flight window with a 2-slot ring so seq 2
             // contends for seq 0's recycled slot.
             let w = Arc::new(SlotWindow::new(4, 2).unwrap_or_else(|e| {

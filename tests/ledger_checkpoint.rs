@@ -9,7 +9,7 @@ use hc_common::id::TxId;
 use hc_ledger::audit::{verify_block_proof, verify_event_proof, AuditorView};
 use hc_ledger::block::Transaction;
 use hc_ledger::chain::{ChainStatus, CheckpointConfig, Ledger, ProofError};
-use hc_ledger::consensus::{PbftCluster, PipelinedCluster};
+use hc_ledger::consensus::PbftCluster;
 use hc_ledger::policy::ProvenancePolicy;
 use hc_crypto::sha256::Digest;
 use proptest::prelude::*;
@@ -188,7 +188,7 @@ proptest! {
 /// E23's bounded-growth property asserted hard: with periodic pruning,
 /// retained body bytes stay bounded by one checkpoint interval plus the
 /// unsealed tail, no matter how long the chain grows — while every
-/// Merkle audit proof keeps verifying. Uses the pipelined engine so the
+/// Merkle audit proof keeps verifying. Uses a window of 8 so the
 /// bound holds on the production commit path too.
 #[test]
 fn retained_bytes_stay_bounded_under_pruning_while_proofs_verify() {
@@ -198,8 +198,8 @@ fn retained_bytes_stay_bounded_under_pruning_while_proofs_verify() {
     const BLOCKS_PER_WAVE: u128 = 24;
 
     let clock = SimClock::new();
-    let cluster = PipelinedCluster::new(4, 8, SimDuration::from_millis(1), clock.clone()).unwrap();
-    let mut l = Ledger::new_pipelined(cluster, clock);
+    let cluster = PbftCluster::pipelined(4, 8, SimDuration::from_millis(1), clock.clone()).unwrap();
+    let mut l = Ledger::new(cluster, clock);
     l.install_policy(Box::new(ProvenancePolicy));
     l.enable_checkpoints(CheckpointConfig::every(INTERVAL));
 

@@ -1,8 +1,9 @@
 //! Property-based tests on the provenance ledger: any committed chain
 //! verifies; any single-bit tamper is detected; consensus tolerates
-//! exactly f faults; and a seeded fault soak drives the pipelined
-//! engine through injected crashes and partitions without divergence
-//! (`HC_SOAK_SEED` rotates the schedule; see CI).
+//! exactly f faults; window 1 matches closed-form PBFT accounting; and a
+//! seeded fault soak drives a pipelined window through injected crashes
+//! and partitions without divergence (`HC_SOAK_SEED` rotates the
+//! schedule; see CI).
 
 use hc_common::clock::{SimClock, SimDuration, SimInstant};
 use hc_common::fault::{FaultInjector, FaultKind, FaultSpec};
@@ -10,7 +11,7 @@ use hc_common::id::TxId;
 use hc_ledger::block::Transaction;
 use hc_ledger::chain::{ChainStatus, Ledger};
 use hc_ledger::consensus::{
-    PbftCluster, PipelinedCluster, FAULT_PIPELINE_CRASH, FAULT_PIPELINE_PARTITION,
+    ConsensusError, PbftCluster, FAULT_CONSENSUS_CRASH, FAULT_CONSENSUS_PARTITION,
 };
 use hc_ledger::policy::ProvenancePolicy;
 use proptest::prelude::*;
@@ -100,10 +101,7 @@ proptest! {
         }
         let f = cluster.tolerated_faults();
         match cluster.propose() {
-            Ok(outcome) => {
-                prop_assert!(faulty <= f);
-                prop_assert!(outcome.committed);
-            }
+            Ok(_) => prop_assert!(faulty <= f),
             Err(_) => prop_assert!(faulty > f),
         }
     }
@@ -121,7 +119,113 @@ proptest! {
         }
         let outcome = cluster.propose().unwrap();
         prop_assert_eq!(outcome.view_changes as usize, leading_faults);
-        prop_assert!(outcome.committed);
+    }
+}
+
+/// One step of a random fault schedule driven against the window-1
+/// accounting oracle, decoded from a drawn `(opcode, peer)` pair.
+#[derive(Clone, Copy, Debug)]
+enum FaultStep {
+    Crash(usize),
+    Recover(usize),
+    CrashPrimary,
+    Heal,
+    Propose,
+}
+
+impl FaultStep {
+    fn decode((op, peer): (u8, usize)) -> Self {
+        match op {
+            0 | 1 => FaultStep::Crash(peer),
+            2 => FaultStep::Recover(peer),
+            3 => FaultStep::CrashPrimary,
+            4 => FaultStep::Heal,
+            _ => FaultStep::Propose,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Window 1 is plain sequential PBFT, checked against closed-form
+    /// accounting after every proposal: the clock moves by exactly
+    /// `3L + view_changes·timeout`, the message bill is
+    /// `(n−1) + (h−1)(n−1) + h(n−1) + view_changes·h(n−1)` for `h`
+    /// reachable peers, and a refused proposal costs nothing.
+    #[test]
+    fn window_one_matches_closed_form_pbft_accounting(
+        peers in 4usize..14,
+        link_ms in 1u64..5,
+        steps in proptest::collection::vec((0u8..9, 0usize..16), 1..48),
+    ) {
+        let link = SimDuration::from_millis(link_ms);
+        let timeout = link.saturating_mul(10);
+        let clock = SimClock::new();
+        let mut cluster = PbftCluster::new(peers, link, clock.clone()).unwrap();
+        let n = peers as u64;
+        let f = (peers - 1) / 3;
+        let mut faulty = vec![false; peers];
+        let mut primary = 0usize;
+        for step in steps {
+            match FaultStep::decode(step) {
+                FaultStep::Crash(p) => {
+                    faulty[p % peers] = true;
+                    cluster.set_faulty(p % peers, true);
+                }
+                FaultStep::Recover(p) => {
+                    faulty[p % peers] = false;
+                    cluster.set_faulty(p % peers, false);
+                }
+                FaultStep::CrashPrimary => {
+                    faulty[primary] = true;
+                    cluster.set_faulty(primary, true);
+                }
+                FaultStep::Heal => {
+                    for (p, down) in faulty.iter_mut().enumerate() {
+                        *down = false;
+                        cluster.set_faulty(p, false);
+                    }
+                }
+                FaultStep::Propose => {
+                    let before = clock.now();
+                    let messages_before = cluster.total_messages();
+                    let down = faulty.iter().filter(|d| **d).count();
+                    match cluster.propose() {
+                        Err(e) => {
+                            prop_assert!(down > f);
+                            prop_assert_eq!(
+                                e,
+                                ConsensusError::TooManyFaults { faulty: down, tolerated: f }
+                            );
+                            prop_assert_eq!(clock.now(), before);
+                            prop_assert_eq!(cluster.total_messages(), messages_before);
+                        }
+                        Ok(out) => {
+                            prop_assert!(down <= f);
+                            let mut view_changes = 0u64;
+                            while faulty[primary] {
+                                view_changes += 1;
+                                primary = (primary + 1) % peers;
+                            }
+                            let h = (peers - down) as u64;
+                            prop_assert_eq!(u64::from(out.view_changes), view_changes);
+                            prop_assert_eq!(cluster.primary(), primary);
+                            prop_assert_eq!(
+                                out.latency,
+                                link.saturating_mul(3) + timeout.saturating_mul(view_changes)
+                            );
+                            prop_assert_eq!(clock.now().duration_since(before), out.latency);
+                            prop_assert_eq!(
+                                out.messages,
+                                (n - 1) + (h - 1) * (n - 1) + h * (n - 1) + view_changes * h * (n - 1)
+                            );
+                            prop_assert_eq!(cluster.total_messages(), messages_before + out.messages);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -167,7 +271,7 @@ fn soak_batches(rng: &mut SoakRng, n: usize) -> Vec<Vec<Transaction>> {
 
 /// One soak run: a pipelined ledger survives a seeded schedule of
 /// primary crashes and network partitions injected mid-pipeline, heals,
-/// and ends byte-identical to the fault-free sequential baseline —
+/// and ends byte-identical to the fault-free window-1 baseline —
 /// view changes drain in-flight slots, they never reorder or drop them.
 fn run_fault_soak(seed: u64) {
     const PEERS: usize = 7; // f = 2
@@ -176,7 +280,7 @@ fn run_fault_soak(seed: u64) {
     let window = 2 + (rng.next() % 10) as usize;
     let batches = soak_batches(&mut rng, n_batches);
 
-    // Fault-free sequential baseline.
+    // Fault-free window-1 baseline.
     let mut baseline = ledger(PEERS);
     for batch in batches.clone() {
         baseline.submit(batch).unwrap();
@@ -185,17 +289,17 @@ fn run_fault_soak(seed: u64) {
     // Pipelined ledger with the fault injector attached.
     let clock = SimClock::new();
     let mut cluster =
-        PipelinedCluster::new(PEERS, window, SimDuration::from_millis(1), clock.clone()).unwrap();
+        PbftCluster::pipelined(PEERS, window, SimDuration::from_millis(1), clock.clone()).unwrap();
     let injector = FaultInjector::new(clock.clone(), seed);
     cluster.attach_faults(injector.clone());
-    let mut pipe = Ledger::new_pipelined(cluster, clock);
+    let mut pipe = Ledger::new(cluster, clock);
     pipe.install_policy(Box::new(ProvenancePolicy));
 
     let mut scheduled = 0usize;
     let mut partition_until: Option<usize> = None;
     for (i, batch) in batches.into_iter().enumerate() {
         if partition_until.is_some_and(|until| i >= until) {
-            injector.heal(FAULT_PIPELINE_PARTITION);
+            injector.heal(FAULT_CONSENSUS_PARTITION);
             partition_until = None;
         }
         match rng.next() % 16 {
@@ -203,7 +307,7 @@ fn run_fault_soak(seed: u64) {
             // fault point and forces a view change that drains in-flight.
             0 => {
                 injector.schedule(
-                    FAULT_PIPELINE_CRASH,
+                    FAULT_CONSENSUS_CRASH,
                     FaultSpec::always(FaultKind::HostCrash).limit(1),
                 );
                 scheduled += 1;
@@ -212,7 +316,7 @@ fn run_fault_soak(seed: u64) {
             // until the heal, but nothing committed may diverge.
             1 if partition_until.is_none() => {
                 injector.schedule(
-                    FAULT_PIPELINE_PARTITION,
+                    FAULT_CONSENSUS_PARTITION,
                     FaultSpec::always(FaultKind::NetworkPartition),
                 );
                 partition_until = Some(i + 1 + (rng.next() % 4) as usize);
@@ -228,7 +332,7 @@ fn run_fault_soak(seed: u64) {
                     // Too many peers unreachable: the batch was NOT
                     // committed. Heal the partition, restart crashed
                     // peers, and retry the same batch.
-                    injector.heal(FAULT_PIPELINE_PARTITION);
+                    injector.heal(FAULT_CONSENSUS_PARTITION);
                     partition_until = None;
                     for p in 0..PEERS {
                         pipe.engine_mut().set_faulty(p, false);
