@@ -6,25 +6,9 @@
 //! Prometheus export of a populated registry (the scrape path).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hc_cache::multilevel::CacheHierarchy;
-use hc_cache::policy::LruCache;
-use hc_common::clock::{SimClock, SimDuration};
+use hc_bench::cache::hierarchy;
 use hc_telemetry::{export, Registry};
 use std::hint::black_box;
-
-fn hierarchy(registry: Option<&Registry>) -> CacheHierarchy<usize, u64> {
-    let mut h: CacheHierarchy<usize, u64> =
-        CacheHierarchy::new(SimClock::new(), SimDuration::from_millis(50));
-    h.add_level("client", Box::new(LruCache::new(256)), SimDuration::from_micros(2));
-    h.add_level("server", Box::new(LruCache::new(2048)), SimDuration::from_micros(500));
-    if let Some(r) = registry {
-        h.instrument(r);
-    }
-    for k in 0..4_096 {
-        h.write(k, 0);
-    }
-    h
-}
 
 fn bench_telemetry(c: &mut Criterion) {
     let mut group = c.benchmark_group("e16_telemetry");
@@ -42,7 +26,7 @@ fn bench_telemetry(c: &mut Criterion) {
         })
     });
 
-    let mut plain = hierarchy(None);
+    let mut plain = hierarchy(None, 4_096);
     let mut k = 0usize;
     group.bench_function("cache_read_uninstrumented", |b| {
         b.iter(|| {
@@ -52,7 +36,7 @@ fn bench_telemetry(c: &mut Criterion) {
     });
 
     let instrumented_registry = Registry::new();
-    let mut wired = hierarchy(Some(&instrumented_registry));
+    let mut wired = hierarchy(Some(&instrumented_registry), 4_096);
     let mut k2 = 0usize;
     group.bench_function("cache_read_instrumented", |b| {
         b.iter(|| {

@@ -1,21 +1,13 @@
 //! E1/E2 — cache read paths and eviction policies (wall clock).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hc_bench::zipf_key;
-use hc_cache::multilevel::CacheHierarchy;
 use hc_cache::policy::{CachePolicy, LfuCache, LruCache};
-use hc_common::clock::{SimClock, SimDuration};
+use hc_common::conc::zipf_key;
 use std::hint::black_box;
 
 fn bench_hierarchy(c: &mut Criterion) {
     let mut group = c.benchmark_group("e1_hierarchy_read");
-    let mut h: CacheHierarchy<usize, u64> =
-        CacheHierarchy::new(SimClock::new(), SimDuration::from_millis(50));
-    h.add_level("client", Box::new(LruCache::new(256)), SimDuration::from_micros(2));
-    h.add_level("server", Box::new(LruCache::new(2048)), SimDuration::from_micros(500));
-    for k in 0..4096usize {
-        h.write(k, k as u64);
-    }
+    let mut h = hc_bench::cache::hierarchy(None, 4096);
     let _ = h.read(&1); // warm key 1 into the client level
     group.bench_function("client_hit", |b| {
         b.iter(|| black_box(h.read(&1).latency))

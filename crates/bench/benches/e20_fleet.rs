@@ -6,16 +6,16 @@
 //! that the ring rebuild stays cheap enough to run on every membership
 //! change, that a replica read (ring lookup → fan-out → repair check) is
 //! microseconds of driver cost, and that the fleet-backed serving loop
-//! stays in the same budget as E19's.
+//! of the [`Scale::Small`] E20 crash scenario stays in the same budget
+//! as E19's.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hc_bench::serving::{e20_config, e20_scenarios, e20_workload};
+use hc_bench::Scale;
 use hc_cache::fleet::{CacheFleet, FleetConfig, HashRing};
 use hc_cloudsim::net::Location;
-use hc_common::clock::{SimClock, SimDuration, SimInstant};
-use hc_common::conc::LoadCurve;
-use hc_core::serving::{
-    run_overload, FleetTierConfig, Protection, ServingConfig, ServingStack, WorkloadConfig,
-};
+use hc_common::clock::{SimClock, SimDuration};
+use hc_core::serving::{run_overload, ServingStack};
 use hc_resilience::timeout::TimeoutBudget;
 use std::hint::black_box;
 
@@ -78,44 +78,17 @@ fn bench_fleet_read(c: &mut Criterion) {
     group.finish();
 }
 
-/// The E20 closed-loop shape at reduced scale: local tier in front of a
-/// 3-region fleet, one node crashing mid-run.
+/// The E20 closed loop with node 0 crashing through the fault window.
 fn bench_closed_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("e20_closed_loop");
     group.sample_size(10);
-    let at = |secs: u64| SimInstant::from_nanos(SimDuration::from_secs(secs).as_nanos());
-    let config = || ServingConfig {
-        cores: 32,
-        hit_cost: SimDuration::from_micros(50),
-        miss_cost: SimDuration::from_micros(800),
-        origin_fetch_cost: SimDuration::from_millis(1),
-        origin_cores: 4,
-        cache_capacity: 2_048,
-        cache_shards: 8,
-        admission_rate: 1_500.0,
-        admission_burst: 75.0,
-        protection: Protection::Full,
-        fleet: Some(FleetTierConfig {
-            node_capacity: 8_192,
-            crash_windows: vec![(0, at(6), at(10))],
-            ..FleetTierConfig::default()
-        }),
-        ..ServingConfig::default()
-    };
-    let workload = || WorkloadConfig {
-        curve: LoadCurve::new(62_500.0),
-        req_per_user_per_sec: 0.02,
-        tier_mix: [0.10, 0.60, 0.30],
-        keyspace: 8_192,
-        duration: SimDuration::from_secs(15),
-        tick: SimDuration::from_millis(1),
-        seed: 20,
-        windows: Vec::new(),
-    };
+    let [_, (_, crash), _] = e20_scenarios(Scale::Small);
+    let config = e20_config(Scale::Small, crash);
+    let workload = e20_workload(Scale::Small);
     group.bench_function("fleet_with_node_crash", |b| {
         b.iter(|| {
-            let stack = ServingStack::new(SimClock::new(), config());
-            let report = run_overload(stack, &workload());
+            let stack = ServingStack::new(SimClock::new(), config.clone());
+            let report = run_overload(stack, &workload);
             black_box(report.fleet.map(|f| f.hit_ratio))
         })
     });

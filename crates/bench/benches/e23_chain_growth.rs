@@ -3,34 +3,17 @@
 //! pruned chain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hc_common::clock::{SimClock, SimDuration, SimInstant};
+use hc_bench::ledger::{batches, provenance_ledger};
+use hc_common::clock::SimClock;
 use hc_common::id::TxId;
-use hc_ledger::block::Transaction;
 use hc_ledger::chain::{CheckpointConfig, Ledger};
-use hc_ledger::consensus::PbftCluster;
-use hc_ledger::policy::ProvenancePolicy;
 use std::hint::black_box;
 
-fn tx(i: u128) -> Transaction {
-    Transaction {
-        id: TxId::from_raw(i),
-        channel: "provenance".into(),
-        kind: "ingested".into(),
-        payload: format!("record={i}").into_bytes(),
-        submitter: "bench".into(),
-        timestamp: SimInstant::from_nanos(i as u64),
-    }
-}
-
-fn grown_ledger(blocks: u64, interval: u64) -> Ledger {
-    let clock = SimClock::new();
-    let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-    let mut ledger = Ledger::new(cluster, clock);
-    ledger.install_policy(Box::new(ProvenancePolicy));
+fn grown_ledger(blocks: u128, interval: u64) -> Ledger {
+    let mut ledger = provenance_ledger(4, 1, SimClock::new()).unwrap();
     ledger.enable_checkpoints(CheckpointConfig::every(interval));
-    for b in 0..blocks as u128 {
-        let txs: Vec<Transaction> = (0..4).map(|j| tx(b * 4 + j + 1)).collect();
-        ledger.submit(txs).unwrap();
+    for block in batches(1, blocks, 4) {
+        ledger.submit(block).unwrap();
     }
     ledger
 }
@@ -40,19 +23,12 @@ fn grown_ledger(blocks: u64, interval: u64) -> Ledger {
 fn bench_grow_and_prune(c: &mut Criterion) {
     let mut group = c.benchmark_group("e23_grow_and_prune");
     group.sample_size(10);
-    for blocks in [128u64, 512] {
+    for blocks in [128u128, 512] {
         group.bench_with_input(BenchmarkId::from_parameter(blocks), &blocks, |b, &blocks| {
             b.iter(|| {
-                let clock = SimClock::new();
-                let link = SimDuration::from_millis(1);
-                let cluster = PbftCluster::pipelined(4, 16, link, clock.clone()).unwrap();
-                let mut ledger = Ledger::new(cluster, clock);
-                ledger.install_policy(Box::new(ProvenancePolicy));
+                let mut ledger = provenance_ledger(4, 16, SimClock::new()).unwrap();
                 ledger.enable_checkpoints(CheckpointConfig::every(16));
-                let batches: Vec<Vec<Transaction>> = (0..blocks as u128)
-                    .map(|i| (0..4).map(|j| tx(i * 4 + j + 1)).collect())
-                    .collect();
-                ledger.submit_stream(batches, 4).unwrap();
+                ledger.submit_stream(batches(1, blocks, 4), 4).unwrap();
                 black_box(ledger.prune())
             })
         });
@@ -64,7 +40,7 @@ fn bench_grow_and_prune(c: &mut Criterion) {
 /// the checkpoint fold, no chain replay.
 fn bench_prove_block(c: &mut Criterion) {
     let mut group = c.benchmark_group("e23_prove_block");
-    for blocks in [128u64, 1024] {
+    for blocks in [128u128, 1024] {
         let mut ledger = grown_ledger(blocks, 16);
         ledger.prune();
         group.bench_with_input(BenchmarkId::from_parameter(blocks), &ledger, |b, l| {

@@ -2,24 +2,10 @@
 //! pipelined window and the parallel validation stream.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hc_common::clock::{SimClock, SimDuration, SimInstant};
-use hc_common::id::TxId;
-use hc_ledger::block::Transaction;
-use hc_ledger::chain::Ledger;
+use hc_bench::ledger::{batches, provenance_ledger, tx};
+use hc_common::clock::{SimClock, SimDuration};
 use hc_ledger::consensus::PbftCluster;
-use hc_ledger::policy::ProvenancePolicy;
 use std::hint::black_box;
-
-fn tx(i: u128) -> Transaction {
-    Transaction {
-        id: TxId::from_raw(i),
-        channel: "provenance".into(),
-        kind: "ingested".into(),
-        payload: format!("record={i}").into_bytes(),
-        submitter: "bench".into(),
-        timestamp: SimInstant::ZERO,
-    }
-}
 
 fn bench_consensus(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_consensus_propose");
@@ -35,20 +21,13 @@ fn bench_consensus(c: &mut Criterion) {
 
 fn bench_ledger_submit(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_ledger_submit");
-    for batch in [1usize, 16, 64] {
+    for batch in [1u128, 16, 64] {
         group.bench_with_input(BenchmarkId::new("batch", batch), &batch, |b, &batch| {
-            let clock = SimClock::new();
-            let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-            let mut ledger = Ledger::new(cluster, clock);
-            ledger.install_policy(Box::new(ProvenancePolicy));
-            let mut i = 0u128;
+            let mut ledger = provenance_ledger(4, 1, SimClock::new()).unwrap();
+            let mut next = 1u128;
             b.iter(|| {
-                let txs: Vec<Transaction> = (0..batch)
-                    .map(|j| {
-                        i += 1;
-                        tx(i + j as u128)
-                    })
-                    .collect();
+                let txs = (next..next + batch).map(tx).collect();
+                next += batch;
                 black_box(ledger.submit(txs).unwrap())
             })
         });
@@ -59,13 +38,10 @@ fn bench_ledger_submit(c: &mut Criterion) {
 fn bench_verify_chain(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_verify_chain");
     group.sample_size(10);
-    for height in [64usize, 512] {
-        let clock = SimClock::new();
-        let cluster = PbftCluster::new(4, SimDuration::from_millis(1), clock.clone()).unwrap();
-        let mut ledger = Ledger::new(cluster, clock);
-        ledger.install_policy(Box::new(ProvenancePolicy));
+    for height in [64u128, 512] {
+        let mut ledger = provenance_ledger(4, 1, SimClock::new()).unwrap();
         for i in 0..height {
-            ledger.submit(vec![tx(i as u128)]).unwrap();
+            ledger.submit(vec![tx(i)]).unwrap();
         }
         group.bench_with_input(BenchmarkId::from_parameter(height), &ledger, |b, l| {
             b.iter(|| black_box(l.verify_chain()))
@@ -95,25 +71,12 @@ fn bench_submit_stream(c: &mut Criterion) {
             BenchmarkId::new("workers", workers),
             &workers,
             |b, &workers| {
-                let mut i = 0u128;
+                let mut next = 1u128;
                 b.iter(|| {
-                    let clock = SimClock::new();
-                    let cluster =
-                        PbftCluster::pipelined(4, 16, SimDuration::from_millis(1), clock.clone())
-                            .unwrap();
-                    let mut ledger = Ledger::new(cluster, clock);
-                    ledger.install_policy(Box::new(ProvenancePolicy));
-                    let batches: Vec<Vec<Transaction>> = (0..32)
-                        .map(|_| {
-                            (0..16)
-                                .map(|_| {
-                                    i += 1;
-                                    tx(i)
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    black_box(ledger.submit_stream(batches, workers).unwrap())
+                    let mut ledger = provenance_ledger(4, 16, SimClock::new()).unwrap();
+                    let stream = batches(next, 32, 16);
+                    next += 32 * 16;
+                    black_box(ledger.submit_stream(stream, workers).unwrap())
                 })
             },
         );

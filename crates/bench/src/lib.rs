@@ -1,18 +1,46 @@
-//! Shared workload generators for the E1–E20 criterion benches.
+//! Shared experiment scenarios for E1–E23.
 //!
-//! Each bench target regenerates the wall-clock side of one experiment
-//! from EXPERIMENTS.md; the simulated-latency side (the model) is printed
-//! by `cargo run --release --example experiments`.
+//! Every workload that more than one place runs is defined once here,
+//! and the experiment harness (`cargo run --release --example
+//! experiments`), the criterion targets under `benches/` and the
+//! root package's SLO tests all build from it:
+//!
+//! * [`cache`] — the E1/E16 two-level cache hierarchy;
+//! * [`ledger`] — the E4/E23 provenance transactions and ledger;
+//! * [`scaling`] — the E18 sharded cache, mixed op and contention model;
+//! * [`serving`] — the E19/E20 serving stacks, fleet tiers and workloads.
+//!
+//! Scenarios with two sizes take a [`Scale`]: the harness picks
+//! [`Scale::Full`] in release builds and [`Scale::Small`] in debug
+//! builds; benches and tests always run [`Scale::Small`]. The harness
+//! prints the recorded tables; the bench targets time the same
+//! scenarios on the wall clock.
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
-use rand::Rng;
+pub mod cache;
+pub mod ledger;
+pub mod scaling;
+pub mod serving;
 
-/// Draws a Zipf(≈1) key over `n` keys. Delegates to the platform-wide
-/// generator in [`hc_common::conc`] so benches and the concurrent
-/// workload driver sample the same distribution.
-pub fn zipf_key<R: Rng>(rng: &mut R, n: usize) -> usize {
-    hc_common::conc::zipf_key(rng, n)
+/// Which of a scenario's two sizes to build.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// The reduced size: debug harness runs, bench smoke runs and tests.
+    Small,
+    /// The recorded size: release harness runs.
+    Full,
+}
+
+impl Scale {
+    /// Returns `small` at [`Scale::Small`] and `full` at [`Scale::Full`].
+    pub fn pick<T>(self, small: T, full: T) -> T {
+        match self {
+            Scale::Small => small,
+            Scale::Full => full,
+        }
+    }
 }
 
 /// A deterministic payload of `size` bytes.
@@ -23,14 +51,6 @@ pub fn payload(size: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zipf_prefers_small_keys() {
-        let mut rng = hc_common::rng::seeded(1);
-        let draws: Vec<usize> = (0..2000).map(|_| zipf_key(&mut rng, 100)).collect();
-        let small = draws.iter().filter(|&&k| k < 10).count();
-        assert!(small > draws.len() / 3);
-    }
 
     #[test]
     fn payload_deterministic() {

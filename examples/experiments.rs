@@ -3,9 +3,14 @@
 //! Run all:        `cargo run --release --example experiments`
 //! Run one:        `cargo run --release --example experiments -- e4`
 //!
+//! An unknown id prints the valid ids and exits with status 2.
+//!
 //! Each experiment prints the exact rows EXPERIMENTS.md records. The
 //! paper (ICDCS 2018) publishes no quantitative tables; these experiments
 //! quantify its quantitative *claims* — see DESIGN.md for the mapping.
+//! Workloads shared with the benches and tests are built by `hc-bench`;
+//! release builds run them at [`Scale::Full`], debug builds at
+//! [`Scale::Small`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,7 +20,12 @@ use hc_analytics::delt::{self, DeltConfig};
 use hc_analytics::eval::{auc_roc, aupr};
 use hc_analytics::jmf::{self, holdout_scores, JmfConfig};
 use hc_analytics::mf::{self, MfConfig};
-use hc_cache::multilevel::{CacheHierarchy, HitLevel};
+use hc_bench::ledger::{batches, provenance_ledger};
+use hc_bench::serving::{
+    e19_config, e19_workload, e20_config, e20_scenarios, e20_workload, CLINICAL_SLO,
+};
+use hc_bench::{cache, scaling, Scale};
+use hc_cache::multilevel::HitLevel;
 use hc_cache::policy::{CachePolicy, LfuCache, LruCache, TtlCache};
 use hc_client::offload;
 use hc_client::sdk::RemoteStore;
@@ -23,8 +33,10 @@ use hc_client::services::{Capability, ServiceRegistry, SimulatedService};
 use hc_cloudsim::gateway::IntercloudGateway;
 use hc_cloudsim::net::Location;
 use hc_common::clock::{SimClock, SimDuration};
+use hc_common::conc::zipf_key;
 use hc_common::id::PatientId;
 use hc_core::platform::{demo_bundle, HealthCloudPlatform, PlatformConfig};
+use hc_core::serving::WorkloadConfig;
 use hc_core::studies;
 use hc_crypto::aead::{self, SecretKey};
 use hc_crypto::ots::{self, MerkleSigner};
@@ -33,24 +45,18 @@ use hc_kb::biobank::{
 };
 use hc_kb::emr::{EmrCohort, EmrConfig};
 use hc_ledger::audit::CentralAuditDb;
-use hc_ledger::block::Transaction;
-use hc_ledger::chain::{CheckpointConfig, Ledger};
-use hc_ledger::consensus::PbftCluster;
-use hc_ledger::policy::ProvenancePolicy;
+use hc_ledger::chain::CheckpointConfig;
 use hc_ledger::provenance::{ProvenanceAction, ProvenanceEvent, ProvenanceNetwork};
 use hc_privacy::kanon::{mondrian, QiRecord};
 use hc_privacy::verify::measure;
 use parking_lot::Mutex;
 use rand::Rng;
 
-fn zipf_key<R: Rng>(rng: &mut R, n: usize) -> usize {
-    loop {
-        let k = rng.gen_range(1..=n);
-        if rng.gen_bool(1.0 / k as f64) {
-            return k - 1;
-        }
-    }
-}
+const SCALE: Scale = if cfg!(debug_assertions) {
+    Scale::Small
+} else {
+    Scale::Full
+};
 
 fn header(id: &str, title: &str) {
     println!("\n=== {id}: {title} ===");
@@ -59,15 +65,8 @@ fn header(id: &str, title: &str) {
 /// E1 — multi-level cache latency: local vs remote "orders of magnitude".
 fn e1() {
     header("E1", "cache hit latency vs remote access (Fig. 4, §I claim)");
-    let clock = SimClock::new();
-    let mut h: CacheHierarchy<usize, u64> =
-        CacheHierarchy::new(clock, SimDuration::from_millis(50));
-    h.add_level("client", Box::new(LruCache::new(256)), SimDuration::from_micros(2));
-    h.add_level("server", Box::new(LruCache::new(2048)), SimDuration::from_micros(500));
     let n_keys = 10_000;
-    for k in 0..n_keys {
-        h.write(k, 0);
-    }
+    let mut h = cache::hierarchy(None, n_keys);
     let mut rng = hc_common::rng::seeded(1);
     let mut by_tier: HashMap<&str, (u64, u64)> = HashMap::new(); // (count, total_us)
     for _ in 0..20_000 {
@@ -187,10 +186,7 @@ fn e4() {
     for peers in [4usize, 7, 10, 13] {
         for batch in [1usize, 16, 64] {
             let clock = SimClock::new();
-            let cluster =
-                PbftCluster::new(peers, SimDuration::from_millis(1), clock.clone()).unwrap();
-            let mut ledger = Ledger::new(cluster, clock.clone());
-            ledger.install_policy(Box::new(ProvenancePolicy));
+            let ledger = provenance_ledger(peers, 1, clock.clone()).unwrap();
             let mut net = ProvenanceNetwork::new(ledger, clock.clone(), batch);
             let events = 512usize;
             let before = clock.now();
@@ -239,26 +235,17 @@ fn e4() {
     const BLOCKS: u128 = 256;
     const BATCH: u128 = 16;
     for peers in [4usize, 7, 13] {
-        let batches: Vec<Vec<Transaction>> = (0..BLOCKS)
-            .map(|b| (0..BATCH).map(|j| e4_tx(b * BATCH + j + 1)).collect())
-            .collect();
+        let stream = batches(1, BLOCKS, BATCH);
 
         let seq_clock = SimClock::new();
-        let cluster =
-            PbftCluster::new(peers, SimDuration::from_millis(1), seq_clock.clone()).unwrap();
-        let mut seq = Ledger::new(cluster, seq_clock.clone());
-        seq.install_policy(Box::new(ProvenancePolicy));
-        for batch in batches.clone() {
+        let mut seq = provenance_ledger(peers, 1, seq_clock.clone()).unwrap();
+        for batch in stream.clone() {
             seq.submit(batch).unwrap();
         }
 
         let pipe_clock = SimClock::new();
-        let cluster =
-            PbftCluster::pipelined(peers, 16, SimDuration::from_millis(1), pipe_clock.clone())
-                .unwrap();
-        let mut pipe = Ledger::new(cluster, pipe_clock.clone());
-        pipe.install_policy(Box::new(ProvenancePolicy));
-        pipe.submit_stream(batches, 4).unwrap();
+        let mut pipe = provenance_ledger(peers, 16, pipe_clock.clone()).unwrap();
+        pipe.submit_stream(stream, 4).unwrap();
         assert_eq!(pipe.blocks(), seq.blocks(), "windows must commit identical chains");
 
         let events = (BLOCKS * BATCH) as f64;
@@ -274,17 +261,6 @@ fn e4() {
     println!("(window 16, 4 validation workers; chains byte-identical; >=10x floor asserted)");
 }
 
-fn e4_tx(i: u128) -> Transaction {
-    Transaction {
-        id: hc_common::id::TxId::from_raw(i),
-        channel: "provenance".into(),
-        kind: "ingested".into(),
-        payload: format!("record={i}").into_bytes(),
-        submitter: "e4".into(),
-        timestamp: hc_common::clock::SimInstant::from_nanos(i as u64),
-    }
-}
-
 /// E23 — chain growth under Merkle checkpointing: retained bytes stay
 /// bounded while the chain grows, and compact audit proofs keep
 /// verifying from the pruned chain.
@@ -295,31 +271,19 @@ fn e23() {
     const BLOCKS_PER_WAVE: u128 = 32;
     const BATCH: u128 = 8;
 
-    let clock = SimClock::new();
-    let cluster =
-        PbftCluster::pipelined(4, 16, SimDuration::from_millis(1), clock.clone()).unwrap();
-    let mut ledger = Ledger::new(cluster, clock);
-    ledger.install_policy(Box::new(ProvenancePolicy));
+    let mut ledger = provenance_ledger(4, 16, SimClock::new()).unwrap();
     ledger.enable_checkpoints(CheckpointConfig::every(INTERVAL));
 
     println!(
         "{:<8} {:>8} {:>10} {:>16} {:>16}",
         "wave", "height", "ckpts", "retained bytes", "pruned bytes"
     );
-    let mut i = 0u128;
     let mut max_retained = 0u64;
     for wave in 0..WAVES {
-        let batches: Vec<Vec<Transaction>> = (0..BLOCKS_PER_WAVE)
-            .map(|_| {
-                (0..BATCH)
-                    .map(|_| {
-                        i += 1;
-                        e4_tx(i)
-                    })
-                    .collect()
-            })
-            .collect();
-        ledger.submit_stream(batches, 4).unwrap();
+        let first = wave * BLOCKS_PER_WAVE * BATCH + 1;
+        ledger
+            .submit_stream(batches(first, BLOCKS_PER_WAVE, BATCH), 4)
+            .unwrap();
         ledger.prune();
         max_retained = max_retained.max(ledger.retained_body_bytes());
         println!(
@@ -441,7 +405,7 @@ fn e6() {
     };
     // Mixed workload: valid / unconsented / malware.
     let platform = build();
-    let n = if cfg!(debug_assertions) { 120 } else { 600 };
+    let n = SCALE.pick(120, 600);
     for i in 0..n {
         let patient = PatientId::from_raw(i as u128 + 1);
         let device = platform.register_patient_device(patient);
@@ -523,11 +487,7 @@ fn e7() {
 /// E8 — JMF vs baselines on hold-out association recovery (Fig. 9).
 fn e8() {
     header("E8", "JMF drug repositioning vs baselines (Fig. 9)");
-    let (n_drugs, n_diseases, iters) = if cfg!(debug_assertions) {
-        (60, 45, 120)
-    } else {
-        (200, 150, 200)
-    };
+    let (n_drugs, n_diseases, iters) = SCALE.pick((60, 45, 120), (200, 150, 200));
     let bank = Biobank::generate(
         &BiobankConfig {
             n_drugs,
@@ -615,7 +575,7 @@ fn e8() {
 /// E9 — DELT vs baselines on planted HbA1c effects (Figs. 10–11).
 fn e9() {
     header("E9", "DELT drug-effect detection vs baselines (Figs. 10-11)");
-    let n_patients = if cfg!(debug_assertions) { 400 } else { 2_000 };
+    let n_patients = SCALE.pick(400, 2_000);
     // Inert drugs 10 and 11 are co-prescribed with the strongest
     // lowering drugs — the co-medication confounder of §V-B.
     let cohort = EmrCohort::generate(
@@ -822,7 +782,7 @@ fn e9_platform() {
         ledger_batch: 64,
         ..PlatformConfig::default()
     });
-    let n = if cfg!(debug_assertions) { 80 } else { 300 };
+    let n = SCALE.pick(80, 300);
     let cohort = EmrCohort::generate(
         EmrConfig {
             n_patients: n,
@@ -1026,21 +986,11 @@ fn e16() {
     // E1 workload: zipf reads against a two-level hierarchy, with or
     // without `instrument()` mirroring into a registry.
     let cache_run = |instrumented: bool| -> f64 {
-        let clock = SimClock::new();
-        let mut h: CacheHierarchy<usize, u64> =
-            CacheHierarchy::new(clock, SimDuration::from_millis(50));
-        h.add_level("client", Box::new(LruCache::new(256)), SimDuration::from_micros(2));
-        h.add_level("server", Box::new(LruCache::new(2048)), SimDuration::from_micros(500));
         let registry = hc_telemetry::Registry::new();
-        if instrumented {
-            h.instrument(&registry);
-        }
         let n_keys = 10_000;
-        for k in 0..n_keys {
-            h.write(k, 0);
-        }
+        let mut h = cache::hierarchy(instrumented.then_some(&registry), n_keys);
         let mut rng = hc_common::rng::seeded(16);
-        let reads = if cfg!(debug_assertions) { 20_000 } else { 200_000 };
+        let reads = SCALE.pick(20_000, 200_000);
         let start = Instant::now();
         for _ in 0..reads {
             let k = zipf_key(&mut rng, n_keys);
@@ -1059,7 +1009,7 @@ fn e16() {
             },
             instrumented,
         );
-        let n = if cfg!(debug_assertions) { 60 } else { 300 };
+        let n = SCALE.pick(60, 300);
         for i in 0..n {
             let device = platform.register_patient_device(PatientId::from_raw(i as u128 + 1));
             platform
@@ -1132,31 +1082,19 @@ fn e16() {
 /// separation — which is exactly why the recorded artefact is the
 /// model, not the wall clock).
 fn e18() {
-    use hc_cache::shard::{ShardRouter, ShardedCache};
-    use hc_common::conc::{self, SimOp};
+    use hc_bench::scaling::{KEYS, READ_HOLD_NS, SEED, WORK_NS, WRITE_HOLD_NS};
 
     header("E18", "cache scaling: sharded vs global lock, threads 1..8");
-    const KEYS: usize = 4096;
-    const SEED: u64 = 18;
 
     // Part 1 — wall-clock calibration on this host. Single-thread rows
     // measure the real per-op cost of the sharded data structure; the
     // 8-thread rows are printed so multi-core hosts can see the real
     // separation, but they are not recorded or asserted.
     let calibrate = |shards: usize, threads: usize| {
-        let cache: ShardedCache<usize, u64, LruCache<usize, u64>> =
-            ShardedCache::lru(KEYS / 4, shards, SEED);
-        for k in 0..KEYS {
-            cache.put(k, k as u64);
-        }
-        let ops = if cfg!(debug_assertions) { 20_000 } else { 200_000 };
-        conc::run_closed_loop(threads, ops, SEED, |_, _, rng| {
-            let k = conc::zipf_key(rng, KEYS);
-            if rng.gen_bool(0.10) {
-                cache.put(k, 1);
-            } else {
-                std::hint::black_box(cache.get(&k));
-            }
+        let cache = scaling::cache(shards);
+        let ops = SCALE.pick(20_000, 200_000);
+        hc_common::conc::run_closed_loop(threads, ops, SEED, |_, _, rng| {
+            scaling::mixed_op(&cache, rng)
         })
     };
     println!("wall-clock calibration (host-dependent, not recorded):");
@@ -1173,31 +1111,7 @@ fn e18() {
     }
 
     // Part 2 — the deterministic contention model (bit-reproducible;
-    // this is the table EXPERIMENTS.md records). The per-op costs are
-    // canonical constants in the order of magnitude of an in-memory
-    // hash-map access — 40 ns of lock-free routing/hash work, then a
-    // critical section of 140 ns (get + LRU touch) or 220 ns (put +
-    // eviction) — kept fixed rather than re-derived from the wall
-    // calibration above (which includes driver overhead such as the
-    // shim RNG's rejection sampling) so the table reproduces anywhere.
-    const WORK_NS: u64 = 40;
-    const READ_HOLD_NS: u64 = 140;
-    const WRITE_HOLD_NS: u64 = 220;
-    let model = |shards: usize, threads: usize| {
-        let router = ShardRouter::new(shards, SEED);
-        conc::simulate_locked_workload(shards, threads, 10_000, SEED, |_, _, rng| {
-            let k = conc::zipf_key(rng, KEYS);
-            SimOp {
-                lock: router.route(&k),
-                work_ns: WORK_NS,
-                hold_ns: if rng.gen_bool(0.10) {
-                    WRITE_HOLD_NS
-                } else {
-                    READ_HOLD_NS
-                },
-            }
-        })
-    };
+    // this is the table EXPERIMENTS.md records).
     println!();
     println!(
         "contention model (recorded): work {WORK_NS} ns, hold {READ_HOLD_NS}/{WRITE_HOLD_NS} ns \
@@ -1209,8 +1123,8 @@ fn e18() {
     );
     let mut speedup_at_8 = 0.0;
     for &threads in &[1usize, 2, 4, 8] {
-        let g = model(1, threads);
-        let s = model(32, threads);
+        let g = scaling::model(1, threads);
+        let s = scaling::model(32, threads);
         let ratio = s.mops() / g.mops();
         if threads == 8 {
             speedup_at_8 = ratio;
@@ -1236,107 +1150,33 @@ fn e18() {
 /// 10x flash crowd, run unprotected / admission-only / fully protected,
 /// with hard SLO assertions on the protected run.
 fn e19() {
-    use hc_common::clock::SimInstant;
-    use hc_common::conc::LoadCurve;
-    use hc_core::serving::{
-        run_overload, OverloadReport, Protection, ServingConfig, ServingStack, WorkloadConfig,
-    };
+    use hc_core::serving::{run_overload, OverloadReport, Protection, ServingStack};
     use hc_resilience::admission::Tier;
 
     header("E19", "overload-safe serving: admission + shedding under a 10x flash crowd");
 
-    // Debug builds run the same shape at 1/16 of the population and
-    // capacity (and half the simulated day) so the example stays quick;
-    // the recorded table is the release run.
-    let debug = cfg!(debug_assertions);
-    let users: f64 = if debug { 62_500.0 } else { 1_000_000.0 };
-    let cores: u32 = if debug { 1 } else { 16 };
-    let admission_rate: f64 = if debug { 2_000.0 } else { 28_000.0 };
-    // Release runs a flatter diurnal (higher overnight floor) and a
-    // slightly costlier origin round trip: both deepen the cold-start
-    // miss storm that the warmup assertions measure, without pushing the
-    // admitted flash load past serving capacity.
-    let diurnal_amplitude = if debug { 0.25 } else { 0.10 };
-    let miss_cost = if debug {
-        SimDuration::from_millis(2)
-    } else {
-        SimDuration::from_micros(2_200)
-    };
-    // The keyspace sets how long a cold cache stays cold: the miss storm
-    // lasts until the hot octaves are fetched, and that takes time
-    // proportional to keyspace / offered rate (hence the debug keyspace
-    // shrinks with the population, or the cache would never warm).
-    let cache_capacity = if debug { 16_384 } else { 131_072 };
-    let keyspace = if debug { 65_536 } else { 1_048_576 };
-    // Window lengths in simulated seconds: cold start, steady diurnal,
-    // 10x flash crowd, recovery.
-    let (warm, steady, flash, recover) = if debug { (10, 30, 15, 20) } else { (10, 50, 30, 60) };
-    let day = warm + steady + flash + recover;
-    let at = |secs: u64| SimInstant::from_nanos(SimDuration::from_secs(secs).as_nanos());
-    let flash_start = warm + steady;
-    let flash_end = flash_start + flash;
-
-    let clinical_slo = SimDuration::from_millis(250);
-    // The origin drains fetches slower than the front can miss when the
-    // cache is cold: 12k fetch/s (release) against ~15.7k cold misses/s,
-    // so the cold-start herd backs the origin up and miss cost inflates
-    // until the fills land.
-    let (origin_cores, origin_fetch_cost) = if debug {
-        (1, SimDuration::from_micros(1_333))
-    } else {
-        (12, SimDuration::from_millis(1))
-    };
-    let cfg = |protection| ServingConfig {
-        cores,
-        hit_cost: SimDuration::from_micros(50),
-        miss_cost,
-        origin_fetch_cost,
-        origin_cores,
-        cache_capacity,
-        cache_shards: if debug { 16 } else { 64 },
-        admission_rate,
-        admission_burst: admission_rate / 20.0,
-        tier_slos: [
-            clinical_slo,
-            SimDuration::from_millis(1_000),
-            SimDuration::from_millis(10_000),
-        ],
-        provenance_sample: 4_096,
-        degraded_provenance_sample: 65_536,
-        provenance_batch: 64,
-        protection,
-        ..ServingConfig::default()
-    };
-    let workload = WorkloadConfig {
-        curve: LoadCurve::new(users)
-            .with_diurnal(diurnal_amplitude, SimDuration::from_secs(day))
-            .with_flash_crowd(at(flash_start), at(flash_end), 10.0),
-        req_per_user_per_sec: 0.02,
-        tier_mix: [0.10, 0.60, 0.30],
-        keyspace,
-        duration: SimDuration::from_secs(day),
-        tick: SimDuration::from_millis(1),
-        seed: 19,
-        windows: vec![
-            ("warmup".to_owned(), at(0), at(warm)),
-            ("steady".to_owned(), at(warm), at(flash_start)),
-            ("flash".to_owned(), at(flash_start), at(flash_end)),
-            ("recovery".to_owned(), at(flash_end), at(day)),
-        ],
-    };
-
+    let workload = e19_workload(SCALE, 19);
+    let cfg = e19_config(SCALE, Protection::Full);
+    let admission_rate = cfg.admission_rate;
+    let (_, warm) = window_secs(&workload, "warmup");
+    let (flash_start, flash_end) = window_secs(&workload, "flash");
     println!(
         "closed loop: {:.2}M users base (peak {:.1}M with 10x flash), 0.02 req/user/s, \
-         tiers 10/60/30, Zipf {keyspace} keys, cache {cache_capacity}",
-        users / 1e6,
+         tiers 10/60/30, Zipf {} keys, cache {}",
+        workload.curve.base_users() / 1e6,
         workload.curve.peak_users(4096) / 1e6,
+        workload.keyspace,
+        cfg.cache_capacity,
     );
     println!(
-        "capacity: {cores} core(s), hit 50us, miss {}us+origin queue ({origin_cores} origin \
+        "capacity: {} core(s), hit 50us, miss {}us+origin queue ({} origin \
          core(s) x {}us/fetch), admission {admission_rate:.0} req/s; \
-         windows warmup 0-{warm}s, steady, flash(10x) {flash_start}-{flash_end}s, recovery -{day}s",
-        miss_cost.as_nanos() / 1_000,
-        origin_fetch_cost.as_nanos() / 1_000
+         windows warmup 0-{warm}s, steady, flash(10x) {flash_start}-{flash_end}s, recovery -{}s",
+        cfg.cores,
+        cfg.miss_cost.as_nanos() / 1_000,
+        cfg.origin_cores,
+        cfg.origin_fetch_cost.as_nanos() / 1_000,
+        workload.duration.as_millis() / 1_000,
     );
     println!();
     println!(
@@ -1347,7 +1187,7 @@ fn e19() {
     let mut reports: Vec<OverloadReport> = Vec::new();
     for protection in [Protection::None, Protection::AdmissionOnly, Protection::Full] {
         let report = run_overload(
-            ServingStack::new(SimClock::new(), cfg(protection)),
+            ServingStack::new(SimClock::new(), e19_config(SCALE, protection)),
             &workload,
         );
         for window in &report.windows {
@@ -1371,7 +1211,7 @@ fn e19() {
 
     // Hard SLO assertions (the experiment fails loudly if overload
     // protection regresses).
-    let slo_ms = clinical_slo.as_nanos() / 1_000_000;
+    let slo_ms = CLINICAL_SLO.as_nanos() / 1_000_000;
     let full_flash = full.window("flash").unwrap();
     let base_flash = base.window("flash").unwrap();
     let full_clin = &full_flash.tiers[Tier::Clinical.index()];
@@ -1444,11 +1284,7 @@ fn e19() {
 fn e20() {
     use hc_cache::fleet::{CacheFleet, FleetConfig, HashRing};
     use hc_cloudsim::net::Location;
-    use hc_common::clock::SimInstant;
-    use hc_common::conc::LoadCurve;
-    use hc_core::serving::{
-        run_overload, FleetTierConfig, Protection, ServingConfig, ServingStack, WorkloadConfig,
-    };
+    use hc_core::serving::{run_overload, ServingStack};
     use hc_resilience::admission::Tier;
 
     header(
@@ -1508,96 +1344,27 @@ fn e20() {
     );
 
     // ---- Part B: closed loop through node crash and partition -------
-    // Debug builds shrink the population and capacity 8x; the recorded
-    // table is the release run. `cores` models concurrent request slots
-    // (a slot blocked on a replica round trip holds no CPU, so slots
-    // outnumber physical cores the way async executors oversubscribe).
-    let debug = cfg!(debug_assertions);
-    let users: f64 = if debug { 62_500.0 } else { 500_000.0 };
-    let cores: u32 = if debug { 32 } else { 256 };
-    let admission_rate: f64 = if debug { 1_500.0 } else { 12_000.0 };
-    let keyspace = if debug { 8_192 } else { 32_768 };
-    let local_capacity = if debug { 2_048 } else { 8_192 };
-    let node_capacity = if debug { 8_192 } else { 32_768 };
-    let origin_cores = if debug { 4 } else { 32 };
-    let clinical_slo = SimDuration::from_millis(250);
-    let at = |secs: u64| SimInstant::from_nanos(SimDuration::from_secs(secs).as_nanos());
-    // Windows: cold start, steady, fault injected, recovered.
-    let (warm_end, fault_start, fault_end, day) = (10u64, 20u64, 35u64, 45u64);
-
-    let fleet_cfg = |crash: Vec<(usize, SimInstant, SimInstant)>,
-                     partition: Vec<(usize, SimInstant, SimInstant)>| {
-        FleetTierConfig {
-            regions: 3,
-            nodes_per_region: 2,
-            replication: 3,
-            vnodes: 256,
-            node_capacity,
-            node_shards: 8,
-            crash_windows: crash,
-            partition_windows: partition,
-            ..FleetTierConfig::default()
-        }
-    };
-    let cfg = |fleet: FleetTierConfig| ServingConfig {
-        cores,
-        hit_cost: SimDuration::from_micros(50),
-        miss_cost: SimDuration::from_micros(800),
-        origin_fetch_cost: SimDuration::from_millis(1),
-        origin_cores,
-        cache_capacity: local_capacity,
-        cache_shards: if debug { 8 } else { 32 },
-        admission_rate,
-        admission_burst: admission_rate / 20.0,
-        tier_slos: [
-            clinical_slo,
-            SimDuration::from_millis(1_000),
-            SimDuration::from_millis(10_000),
-        ],
-        protection: Protection::Full,
-        fleet: Some(fleet),
-        ..ServingConfig::default()
-    };
-    let workload = WorkloadConfig {
-        curve: LoadCurve::new(users),
-        req_per_user_per_sec: 0.02,
-        tier_mix: [0.10, 0.60, 0.30],
-        keyspace,
-        duration: SimDuration::from_secs(day),
-        tick: SimDuration::from_millis(1),
-        seed: 20,
-        windows: vec![
-            ("warmup".to_owned(), at(0), at(warm_end)),
-            ("steady".to_owned(), at(warm_end), at(fault_start)),
-            ("fault".to_owned(), at(fault_start), at(fault_end)),
-            ("recovered".to_owned(), at(fault_end), at(day)),
-        ],
-    };
+    let workload = e20_workload(SCALE);
+    let configs = e20_scenarios(SCALE).map(|(label, fleet)| (label, e20_config(SCALE, fleet)));
+    let local_capacity = configs[0].1.cache_capacity;
+    let node_capacity = configs[0].1.fleet.as_ref().unwrap().node_capacity;
+    let (fault_start, fault_end) = window_secs(&workload, "fault");
     println!();
     println!(
-        "closed loop: {:.0}k users, 0.02 req/user/s, Zipf {keyspace} keys; local cache \
+        "closed loop: {:.0}k users, 0.02 req/user/s, Zipf {} keys; local cache \
          {local_capacity}, fleet 3 regions x 2 nodes, R=3, node capacity {node_capacity}; \
-         fault window {fault_start}-{fault_end}s of {day}s",
-        users / 1e3
+         fault window {fault_start}-{fault_end}s of {}s",
+        workload.curve.base_users() / 1e3,
+        workload.keyspace,
+        workload.duration.as_millis() / 1_000,
     );
     println!(
         "{:<10} {:<10} {:>10} {:>7} {:>14}",
         "scenario", "window", "goodput/s", "shed%", "clin p999(ms)"
     );
-    let scenarios: Vec<(&str, FleetTierConfig)> = vec![
-        ("healthy", fleet_cfg(vec![], vec![])),
-        (
-            "crash",
-            fleet_cfg(vec![(0, at(fault_start), at(fault_end))], vec![]),
-        ),
-        (
-            "partition",
-            fleet_cfg(vec![], vec![(2, at(fault_start), at(fault_end))]),
-        ),
-    ];
     let mut reports = Vec::new();
-    for (label, fc) in scenarios {
-        let report = run_overload(ServingStack::new(SimClock::new(), cfg(fc)), &workload);
+    for (label, cfg) in configs {
+        let report = run_overload(ServingStack::new(SimClock::new(), cfg), &workload);
         let fleet = report.fleet.expect("fleet is configured");
         for window in &report.windows {
             let clin = &window.tiers[Tier::Clinical.index()];
@@ -1622,7 +1389,7 @@ fn e20() {
     let partition = &reports[2].1;
     let healthy_fleet = healthy.fleet.as_ref().unwrap();
     let crash_fleet = crash.fleet.as_ref().unwrap();
-    let slo_us = clinical_slo.as_nanos() / 1_000;
+    let slo_us = CLINICAL_SLO.as_nanos() / 1_000;
 
     // Hard assertions: R=3 masks one crashed node.
     assert!(
@@ -1680,7 +1447,7 @@ fn e20() {
         2,
     );
     let writer = Location::new(0, 0);
-    let writes = if debug { 2_000u64 } else { 10_000 };
+    let writes = SCALE.pick(2_000u64, 10_000);
     for k in 0..writes {
         fleet.fill(&k, &k, 1, writer);
     }
@@ -1749,77 +1516,55 @@ fn e20() {
     println!("staleness bounded, replicas converged after heal: PASS");
 }
 
+/// The `(start, end)` of `workload`'s window `label`, in whole simulated
+/// seconds.
+fn window_secs(workload: &WorkloadConfig, label: &str) -> (u64, u64) {
+    let (_, start, end) = workload.windows.iter().find(|w| w.0 == label).unwrap();
+    (start.as_millis() / 1_000, end.as_millis() / 1_000)
+}
+
 /// The calibrated inter-cloud one-way latency (50 ms), shared by E20's
 /// staleness bounds.
 fn fleet_inter_latency() -> SimDuration {
     hc_cloudsim::net::NetworkModel::default().inter_latency
 }
 
+/// Every experiment the harness runs, by id, in run order.
+const EXPERIMENTS: [(&str, fn()); 21] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e9b", e9_platform),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+    ("e13", e13),
+    ("e14", e14),
+    ("e15", e15),
+    ("e16", e16),
+    ("e18", e18),
+    ("e19", e19),
+    ("e20", e20),
+    ("e23", e23),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let all = args.is_empty();
-    let want = |id: &str| all || args.iter().any(|a| a.eq_ignore_ascii_case(id));
-    if want("e1") {
-        e1();
+    let known = |arg: &String| EXPERIMENTS.iter().any(|(id, _)| arg.eq_ignore_ascii_case(id));
+    if let Some(unknown) = args.iter().find(|arg| !known(arg)) {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        eprintln!("unknown experiment id `{unknown}`; valid ids: {}", ids.join(" "));
+        std::process::exit(2);
     }
-    if want("e2") {
-        e2();
-    }
-    if want("e3") {
-        e3();
-    }
-    if want("e4") {
-        e4();
-    }
-    if want("e5") {
-        e5();
-    }
-    if want("e6") {
-        e6();
-    }
-    if want("e7") {
-        e7();
-    }
-    if want("e8") {
-        e8();
-    }
-    if want("e9") {
-        e9();
-    }
-    if want("e9b") {
-        e9_platform();
-    }
-    if want("e10") {
-        e10();
-    }
-    if want("e11") {
-        e11();
-    }
-    if want("e12") {
-        e12();
-    }
-    if want("e13") {
-        e13();
-    }
-    if want("e14") {
-        e14();
-    }
-    if want("e15") {
-        e15();
-    }
-    if want("e16") {
-        e16();
-    }
-    if want("e18") {
-        e18();
-    }
-    if want("e19") {
-        e19();
-    }
-    if want("e20") {
-        e20();
-    }
-    if want("e23") {
-        e23();
+    for (id, run) in EXPERIMENTS {
+        if args.is_empty() || args.iter().any(|arg| arg.eq_ignore_ascii_case(id)) {
+            run();
+        }
     }
 }

@@ -5,22 +5,10 @@
 use hc_cache::multilevel::{CacheHierarchy, HitLevel};
 use hc_cache::policy::{LfuCache, LruCache};
 use hc_common::clock::{SimClock, SimDuration};
+use hc_common::conc::zipf_key;
 use hc_kb::biobank::{Biobank, BiobankConfig};
 use hc_kb::service::KnowledgeBaseService;
 use rand::Rng;
-
-/// Draws Zipf(s≈1) ranks over `n` keys.
-fn zipf_key<R: Rng>(rng: &mut R, n: usize) -> usize {
-    // Inverse-CDF sampling over precomputed harmonic weights would be
-    // cleaner; a simple rejection scheme suffices for tests.
-    loop {
-        let k = rng.gen_range(1..=n);
-        let accept = 1.0 / k as f64;
-        if rng.gen_bool(accept) {
-            return k - 1;
-        }
-    }
-}
 
 #[test]
 fn hierarchy_turns_remote_latency_into_local_latency() {

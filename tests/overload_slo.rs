@@ -4,15 +4,15 @@
 //!
 //! This is the tier-1 mirror of the full E19 experiment
 //! (`cargo run --release --example experiments -- e19`): the same
-//! closed loop at a population small enough for debug builds. The
-//! workload is seeded (override with `HC_SOAK_SEED`); CI's
-//! `overload-tests` job runs it `--release` with two seeds.
+//! closed loop, built by `hc_bench::serving` at [`Scale::Small`], a
+//! population small enough for debug builds. The workload is seeded
+//! (override with `HC_SOAK_SEED`); CI's `overload-tests` job runs it
+//! `--release` with two seeds.
 
-use hc_common::clock::{SimClock, SimDuration, SimInstant};
-use hc_common::conc::LoadCurve;
-use hc_core::serving::{
-    run_overload, OverloadReport, Protection, ServingConfig, ServingStack, WorkloadConfig,
-};
+use hc_bench::serving::{e19_config, e19_workload, CLINICAL_SLO};
+use hc_bench::Scale;
+use hc_common::clock::{SimClock, SimDuration};
+use hc_core::serving::{run_overload, OverloadReport, Protection, ServingStack};
 use hc_resilience::admission::Tier;
 use hc_resilience::HealthState;
 
@@ -23,59 +23,11 @@ fn seed() -> u64 {
         .unwrap_or(0xE19)
 }
 
-const CLINICAL_SLO: SimDuration = SimDuration::from_millis(250);
-const ADMISSION_RATE: f64 = 2_000.0;
-
-fn config(protection: Protection) -> ServingConfig {
-    ServingConfig {
-        cores: 1,
-        hit_cost: SimDuration::from_micros(50),
-        miss_cost: SimDuration::from_millis(2),
-        origin_fetch_cost: SimDuration::from_micros(1_333),
-        origin_cores: 1,
-        cache_capacity: 16_384,
-        cache_shards: 16,
-        admission_rate: ADMISSION_RATE,
-        admission_burst: ADMISSION_RATE / 20.0,
-        tier_slos: [
-            CLINICAL_SLO,
-            SimDuration::from_millis(1_000),
-            SimDuration::from_millis(10_000),
-        ],
-        provenance_sample: 4_096,
-        degraded_provenance_sample: 65_536,
-        provenance_batch: 64,
-        protection,
-        ..ServingConfig::default()
-    }
-}
-
-/// Same shape as E19 at 1/16 scale: cold start, steady diurnal, 10x
-/// flash crowd, recovery.
-fn workload() -> WorkloadConfig {
-    let at = |secs: u64| SimInstant::from_nanos(SimDuration::from_secs(secs).as_nanos());
-    let day = 75;
-    WorkloadConfig {
-        curve: LoadCurve::new(62_500.0)
-            .with_diurnal(0.25, SimDuration::from_secs(day))
-            .with_flash_crowd(at(40), at(55), 10.0),
-        req_per_user_per_sec: 0.02,
-        tier_mix: [0.10, 0.60, 0.30],
-        keyspace: 65_536,
-        duration: SimDuration::from_secs(day),
-        tick: SimDuration::from_millis(1),
-        seed: seed(),
-        windows: vec![
-            ("warmup".to_owned(), at(0), at(10)),
-            ("steady".to_owned(), at(10), at(40)),
-            ("flash".to_owned(), at(40), at(55)),
-            ("recovery".to_owned(), at(55), at(day)),
-        ],
-    }
-}
-
 fn run(protection: Protection) -> OverloadReport {
-    run_overload(ServingStack::new(SimClock::new(), config(protection)), &workload())
+    run_overload(
+        ServingStack::new(SimClock::new(), e19_config(Scale::Small, protection)),
+        &e19_workload(Scale::Small, seed()),
+    )
 }
 
 #[test]
@@ -88,9 +40,10 @@ fn protected_flash_crowd_meets_clinical_slo() {
         "protected flash clinical p999 {}us exceeds the SLO",
         clinical.p999_us
     );
+    let admission_rate = e19_config(Scale::Small, Protection::Full).admission_rate;
     assert!(
-        flash.goodput_rps() >= 0.9 * ADMISSION_RATE,
-        "protected flash goodput {:.0}/s below 90% of the {ADMISSION_RATE}/s admitted capacity",
+        flash.goodput_rps() >= 0.9 * admission_rate,
+        "protected flash goodput {:.0}/s below 90% of the {admission_rate}/s admitted capacity",
         flash.goodput_rps()
     );
     // Priorities: batch starves before clinical.
@@ -159,7 +112,7 @@ fn health_tracker_reflects_degraded_serving() {
     // Drive the stack directly through an overload burst and watch the
     // platform health fold the serving subsystem in and out.
     let clock = SimClock::new();
-    let mut stack = ServingStack::new(clock.clone(), config(Protection::Full));
+    let mut stack = ServingStack::new(clock.clone(), e19_config(Scale::Small, Protection::Full));
     assert_eq!(stack.health(), HealthState::Healthy);
     // Saturate: far more offered than the 1-core stack can admit.
     for step in 0..200_000u64 {
