@@ -35,10 +35,13 @@ impl std::error::Error for DecodeHexError {}
 /// assert_eq!(hc_common::hex::encode(&[0xde, 0xad]), "dead");
 /// ```
 pub fn encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(char::from_digit((b >> 4) as u32, 16).expect("nibble < 16"));
-        out.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble < 16"));
+    for &b in bytes {
+        for nibble in [b >> 4, b & 0xf] {
+            let digit = DIGITS.get(usize::from(nibble)).copied().unwrap_or(b'0');
+            out.push(char::from(digit));
+        }
     }
     out
 }
@@ -59,15 +62,18 @@ pub fn decode(s: &str) -> Result<Vec<u8>, DecodeHexError> {
     if !s.len().is_multiple_of(2) {
         return Err(DecodeHexError::OddLength);
     }
-    let bytes = s.as_bytes();
+    let digit = |b: u8, index: usize| {
+        (b as char)
+            .to_digit(16)
+            .ok_or(DecodeHexError::InvalidDigit { index })
+    };
     let mut out = Vec::with_capacity(s.len() / 2);
-    for i in (0..bytes.len()).step_by(2) {
-        let hi = (bytes[i] as char)
-            .to_digit(16)
-            .ok_or(DecodeHexError::InvalidDigit { index: i })?;
-        let lo = (bytes[i + 1] as char)
-            .to_digit(16)
-            .ok_or(DecodeHexError::InvalidDigit { index: i + 1 })?;
+    for (pair, chunk) in s.as_bytes().chunks_exact(2).enumerate() {
+        let &[hi, lo] = chunk else {
+            return Err(DecodeHexError::OddLength);
+        };
+        let hi = digit(hi, 2 * pair)?;
+        let lo = digit(lo, 2 * pair + 1)?;
         out.push(((hi << 4) | lo) as u8);
     }
     Ok(out)
@@ -107,6 +113,18 @@ mod tests {
     fn decode_rejects_bad_digit() {
         assert_eq!(decode("zz"), Err(DecodeHexError::InvalidDigit { index: 0 }));
         assert_eq!(decode("az"), Err(DecodeHexError::InvalidDigit { index: 1 }));
+        assert_eq!(
+            decode("00zz"),
+            Err(DecodeHexError::InvalidDigit { index: 2 })
+        );
+        assert_eq!(
+            decode("000g"),
+            Err(DecodeHexError::InvalidDigit { index: 3 })
+        );
+        assert_eq!(
+            decode("é00"),
+            Err(DecodeHexError::InvalidDigit { index: 0 })
+        );
     }
 
     #[test]
@@ -122,6 +140,12 @@ mod tests {
         fn round_trip(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let enc = encode(&bytes);
             prop_assert_eq!(decode(&enc).unwrap(), bytes);
+        }
+
+        #[test]
+        fn encode_matches_format_reference(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+            let reference: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            prop_assert_eq!(encode(&bytes), reference);
         }
 
         #[test]

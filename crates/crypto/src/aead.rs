@@ -6,8 +6,10 @@
 //! record's routing metadata) and the ciphertext, so any tampering —
 //! including replaying a ciphertext under different metadata — is detected.
 
+use std::collections::BTreeMap;
+
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::chacha20::{self, Nonce};
 use crate::hmac;
@@ -50,7 +52,11 @@ impl std::fmt::Debug for SecretKey {
 }
 
 /// An encrypted, integrity-protected payload.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+///
+/// Serialized as `{"ciphertext":"<lowercase hex>","nonce":[..],"tag":[..]}`:
+/// the ciphertext travels as one hex string rather than one JSON number
+/// per byte, while `nonce` and `tag` keep their derived array form.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Sealed {
     /// Cipher nonce (public).
     pub nonce: Nonce,
@@ -67,6 +73,49 @@ impl Sealed {
     }
 }
 
+impl Serialize for Sealed {
+    fn to_value(&self) -> Value {
+        let mut map = BTreeMap::new();
+        map.insert(
+            "ciphertext".to_string(),
+            Value::Str(hc_common::hex::encode(&self.ciphertext)),
+        );
+        map.insert("nonce".to_string(), self.nonce.to_value());
+        map.insert("tag".to_string(), self.tag.to_value());
+        Value::Object(map)
+    }
+}
+
+impl Deserialize for Sealed {
+    /// Total over untrusted input: every shape other than the one
+    /// [`Serialize`] writes — a missing or non-string `ciphertext`, odd
+    /// length, a non-hex digit, the per-byte number-array form — is a
+    /// [`DeError`].
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let Value::Object(map) = value else {
+            return Err(DeError::msg("expected Sealed object"));
+        };
+        let field = |key: &str| {
+            map.get(key)
+                .ok_or_else(|| DeError::msg(format!("missing field `{key}`")))
+        };
+        let ciphertext = match field("ciphertext")? {
+            Value::Str(hex) => hc_common::hex::decode(hex)
+                .map_err(|e| DeError::msg(format!("field `ciphertext`: {e}")))?,
+            _ => return Err(DeError::msg("field `ciphertext`: expected a hex string")),
+        };
+        let nonce = Nonce::from_value(field("nonce")?)
+            .map_err(|e| DeError::msg(format!("field `nonce`: {e}")))?;
+        let tag = Digest::from_value(field("tag")?)
+            .map_err(|e| DeError::msg(format!("field `tag`: {e}")))?;
+        Ok(Sealed {
+            nonce,
+            ciphertext,
+            tag,
+        })
+    }
+}
+
 /// Error returned when opening a sealed payload fails authentication.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct OpenError;
@@ -79,13 +128,11 @@ impl std::fmt::Display for OpenError {
 
 impl std::error::Error for OpenError {}
 
-fn mac_input(nonce: &Nonce, aad: &[u8], ciphertext: &[u8]) -> Vec<u8> {
-    let mut input = Vec::with_capacity(12 + 8 + aad.len() + ciphertext.len());
-    input.extend_from_slice(&nonce.0);
-    input.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-    input.extend_from_slice(aad);
-    input.extend_from_slice(ciphertext);
-    input
+/// HMAC-SHA-256 over `nonce ‖ len(aad) as u64 LE ‖ aad ‖ ciphertext`,
+/// fed to the MAC part by part so the ciphertext is never copied.
+fn mac(mac_key: &SecretKey, nonce: &Nonce, aad: &[u8], ciphertext: &[u8]) -> Digest {
+    let aad_len = (aad.len() as u64).to_le_bytes();
+    hmac::hmac_parts(mac_key.as_bytes(), &[&nonce.0, &aad_len, aad, ciphertext])
 }
 
 /// Seals `plaintext` under `key` with a deterministic per-key nonce counter
@@ -98,7 +145,9 @@ fn mac_input(nonce: &Nonce, aad: &[u8], ciphertext: &[u8]) -> Vec<u8> {
 pub fn seal(key: &SecretKey, plaintext: &[u8], aad: &[u8]) -> Sealed {
     let h = crate::sha256::hash_parts(&[key.as_bytes(), plaintext, aad]);
     let mut nonce = Nonce::default();
-    nonce.0.copy_from_slice(&h.as_bytes()[..12]);
+    for (n, b) in nonce.0.iter_mut().zip(h.as_bytes()) {
+        *n = *b;
+    }
     seal_with_nonce(key, nonce, plaintext, aad)
 }
 
@@ -109,7 +158,7 @@ pub fn seal_with_nonce(key: &SecretKey, nonce: Nonce, plaintext: &[u8], aad: &[u
     let enc_key = key.derive(b"enc");
     let mac_key = key.derive(b"mac");
     let ciphertext = chacha20::encrypt(enc_key.as_bytes(), &nonce, plaintext);
-    let tag = hmac::hmac(mac_key.as_bytes(), &mac_input(&nonce, aad, &ciphertext));
+    let tag = mac(&mac_key, &nonce, aad, &ciphertext);
     Sealed {
         nonce,
         ciphertext,
@@ -126,10 +175,7 @@ pub fn seal_with_nonce(key: &SecretKey, nonce: Nonce, plaintext: &[u8], aad: &[u
 pub fn open(key: &SecretKey, sealed: &Sealed, aad: &[u8]) -> Result<Vec<u8>, OpenError> {
     let enc_key = key.derive(b"enc");
     let mac_key = key.derive(b"mac");
-    let expected = hmac::hmac(
-        mac_key.as_bytes(),
-        &mac_input(&sealed.nonce, aad, &sealed.ciphertext),
-    );
+    let expected = mac(&mac_key, &sealed.nonce, aad, &sealed.ciphertext);
     if !hc_common::hex::constant_time_eq(expected.as_bytes(), sealed.tag.as_bytes()) {
         return Err(OpenError);
     }
@@ -191,6 +237,93 @@ mod tests {
         assert_ne!(key().derive(b"a"), key().derive(b"b"));
     }
 
+    #[test]
+    fn tag_matches_hmac_of_concatenated_mac_input() {
+        let nonce = Nonce([7u8; 12]);
+        let aad = b"patient-42";
+        let sealed = seal_with_nonce(&key(), nonce, b"hba1c=6.5", aad);
+        let mut input = Vec::new();
+        input.extend_from_slice(&nonce.0);
+        input.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+        input.extend_from_slice(aad);
+        input.extend_from_slice(&sealed.ciphertext);
+        let mac_key = key().derive(b"mac");
+        assert_eq!(sealed.tag, hmac::hmac(mac_key.as_bytes(), &input));
+        // `seal` takes its nonce from the first 12 bytes of the hash.
+        let h = crate::sha256::hash_parts(&[key().as_bytes(), b"data", b""]);
+        assert_eq!(seal(&key(), b"data", b"").nonce.0, h.as_bytes()[..12]);
+    }
+
+    /// A valid envelope whose `"ciphertext":…,` member is replaced by
+    /// `member` (empty to drop it).
+    fn envelope_with(member: &str) -> String {
+        let sealed = seal(&key(), &[0xab, 0x0f], b"");
+        let hex = hc_common::hex::encode(&sealed.ciphertext);
+        serde_json::to_string(&sealed).unwrap().replacen(
+            &format!("\"ciphertext\":\"{hex}\","),
+            member,
+            1,
+        )
+    }
+
+    fn decode_error(json: &str) -> String {
+        serde_json::from_str::<Sealed>(json)
+            .unwrap_err()
+            .to_string()
+    }
+
+    #[test]
+    fn envelope_writes_ciphertext_as_lowercase_hex() {
+        let sealed = seal(&key(), b"hba1c=6.5", b"aad");
+        let json = serde_json::to_string(&sealed).unwrap();
+        let hex = hc_common::hex::encode(&sealed.ciphertext);
+        assert!(json.starts_with(&format!("{{\"ciphertext\":\"{hex}\",\"nonce\":[")));
+        assert_eq!(serde_json::from_str::<Sealed>(&json).unwrap(), sealed);
+        let empty = seal(&key(), b"", b"");
+        let json = serde_json::to_string(&empty).unwrap();
+        assert!(json.starts_with("{\"ciphertext\":\"\","));
+        assert_eq!(serde_json::from_str::<Sealed>(&json).unwrap(), empty);
+        assert!(serde_json::from_str::<Sealed>(&envelope_with("\"ciphertext\":\"ABcd\",")).is_ok());
+    }
+
+    #[test]
+    fn envelope_rejects_missing_ciphertext() {
+        assert!(decode_error(&envelope_with("")).contains("missing field `ciphertext`"));
+    }
+
+    #[test]
+    fn envelope_rejects_non_string_ciphertext() {
+        for bad in ["null", "7", "true", "{}", "[\"ab\"]"] {
+            let err = decode_error(&envelope_with(&format!("\"ciphertext\":{bad},")));
+            assert!(err.contains("expected a hex string"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn envelope_rejects_odd_length_hex() {
+        let err = decode_error(&envelope_with("\"ciphertext\":\"abc\","));
+        assert!(err.contains("odd length"), "{err}");
+    }
+
+    #[test]
+    fn envelope_rejects_non_hex_digit() {
+        let err = decode_error(&envelope_with("\"ciphertext\":\"ab0g\","));
+        assert!(err.contains("invalid hex digit at index 3"), "{err}");
+    }
+
+    #[test]
+    fn envelope_rejects_number_array_ciphertext() {
+        // The per-byte form every envelope used before the hex encoding.
+        let err = decode_error(&envelope_with("\"ciphertext\":[171,15],"));
+        assert!(err.contains("expected a hex string"), "{err}");
+    }
+
+    #[test]
+    fn envelope_rejects_non_object() {
+        assert!(serde_json::from_str::<Sealed>("[]").is_err());
+        assert!(serde_json::from_str::<Sealed>("\"00\"").is_err());
+    }
+
     proptest! {
         #[test]
         fn any_payload_round_trips(
@@ -199,6 +332,30 @@ mod tests {
         ) {
             let sealed = seal(&key(), &data, &aad);
             prop_assert_eq!(open(&key(), &sealed, &aad).unwrap(), data);
+        }
+
+        #[test]
+        fn envelope_decoder_never_panics_on_random_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..128),
+        ) {
+            let _ = serde_json::from_slice::<Sealed>(&bytes);
+        }
+
+        #[test]
+        fn envelope_decoder_never_panics_on_corrupted_envelopes(
+            data in proptest::collection::vec(any::<u8>(), 0..64),
+            at in any::<usize>(),
+            noise in proptest::collection::vec(any::<u8>(), 1..8),
+        ) {
+            let mut bytes = serde_json::to_vec(&seal(&key(), &data, b"")).unwrap();
+            let at = at % bytes.len();
+            let end = (at + noise.len()).min(bytes.len());
+            bytes.splice(at..end, noise);
+            if let Ok(sealed) = serde_json::from_slice::<Sealed>(&bytes) {
+                // Whatever still parses must re-encode to a valid envelope.
+                let again = serde_json::to_vec(&sealed).unwrap();
+                prop_assert_eq!(serde_json::from_slice::<Sealed>(&again).unwrap(), sealed);
+            }
         }
 
         #[test]

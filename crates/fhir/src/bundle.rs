@@ -122,7 +122,8 @@ impl IntoIterator for Bundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resource::{Consent, Gender, Patient};
+    use crate::resource::{Consent, Gender, Observation, Patient};
+    use crate::types::{CodeableConcept, Quantity, SimDate};
 
     fn sample() -> Bundle {
         Bundle::new(
@@ -143,6 +144,62 @@ mod tests {
             ],
         )
     }
+
+    /// A bundle exercising every JSON value kind the emitter writes:
+    /// escapes, multi-byte UTF-8, whole and fractional floats, integers.
+    fn pinned_fixture() -> Bundle {
+        Bundle::new(
+            BundleKind::Transaction,
+            vec![
+                Resource::Patient(
+                    Patient::builder("p-\u{e9}1")
+                        .name("Zo\u{eb} \"Q\"", "Ren\u{e9}e\\Ann\t")
+                        .gender(Gender::Female)
+                        .birth_year(1961)
+                        .identifier("urn:mrn", "MRN\u{1}7\u{1f}")
+                        .address("1 Main St\nApt 2", "S\u{e3}o Paulo", "SP", "01000-\u{20ac}")
+                        .build(),
+                ),
+                Resource::Observation(Observation {
+                    id: "o1".into(),
+                    subject: "p-\u{e9}1".into(),
+                    code: CodeableConcept::new("http://loinc.org", "4548-4", "HbA1c \u{1f9ea}"),
+                    value: Quantity::new(6.5, "%"),
+                    effective: SimDate(u32::MAX),
+                }),
+                Resource::Observation(Observation {
+                    id: "o2".into(),
+                    subject: "p-\u{e9}1".into(),
+                    code: CodeableConcept::new("http://loinc.org", "2345-7", "Glucose\r"),
+                    value: Quantity::new(-110.0, "mg/dL"),
+                    effective: SimDate(0),
+                }),
+            ],
+        )
+    }
+
+    #[test]
+    fn pinned_json_bytes() {
+        let json = pinned_fixture().to_json();
+        assert_eq!(json, PINNED_JSON);
+        assert_eq!(Bundle::from_json(&json).unwrap(), pinned_fixture());
+    }
+
+    /// `pinned_fixture()`'s bytes, fixed: stored bundles and the hashes
+    /// anchored over them depend on the emitter never changing its output.
+    const PINNED_JSON: &str = "{\"entries\":[{\"address\":{\"city\":\"São Paulo\",\
+        \"line\":\"1 Main St\\nApt 2\",\"postal_code\":\"01000-€\",\"state\":\"SP\"},\
+        \"birth_year\":1961,\"gender\":\"Female\",\"id\":\"p-é1\",\
+        \"identifiers\":[{\"system\":\"urn:mrn\",\"value\":\"MRN\\u00017\\u001f\"}],\
+        \"name\":{\"family\":\"Zoë \\\"Q\\\"\",\"given\":[\"Renée\\\\Ann\\t\"]},\
+        \"phone\":null,\"resourceType\":\"Patient\"},{\"code\":{\"code\":\"4548-4\",\
+        \"display\":\"HbA1c 🧪\",\"system\":\"http://loinc.org\"},\
+        \"effective\":4294967295,\"id\":\"o1\",\"resourceType\":\"Observation\",\
+        \"subject\":\"p-é1\",\"value\":{\"unit\":\"%\",\"value\":6.5}},\
+        {\"code\":{\"code\":\"2345-7\",\"display\":\"Glucose\\r\",\
+        \"system\":\"http://loinc.org\"},\"effective\":0,\"id\":\"o2\",\
+        \"resourceType\":\"Observation\",\"subject\":\"p-é1\",\
+        \"value\":{\"unit\":\"mg/dL\",\"value\":-110.0}}],\"kind\":\"Transaction\"}";
 
     #[test]
     fn json_round_trip() {

@@ -308,6 +308,31 @@ mod tests {
     }
 
     #[test]
+    fn pinned_event_bytes() {
+        let event = ProvenanceEvent {
+            record: ReferenceId::from_raw(u128::MAX - 7),
+            data_hash: sha256::hash(b"pinned"),
+            action: ProvenanceAction::ConsentRevoked,
+            actor: "export-service".into(),
+            detail: "target=\"lab\\\u{e9}\"\n".into(),
+        };
+        let json = serde_json::to_string(&event).unwrap();
+        assert_eq!(json, PINNED_EVENT);
+        assert_eq!(
+            serde_json::from_str::<ProvenanceEvent>(&json).unwrap(),
+            event
+        );
+    }
+
+    /// The event's bytes, fixed: block hashes cover these payloads, so the
+    /// emitter must never change its output.
+    const PINNED_EVENT: &str =
+        "{\"action\":\"ConsentRevoked\",\"actor\":\"export-service\",\"data_hash\":[63,\
+        171,92,24,27,210,138,9,182,67,151,223,118,174,43,250,241,234,193,130,151,155,\
+        95,219,122,52,40,88,0,79,54,175],\"detail\":\"target=\\\"lab\\\\é\\\"\\n\",\
+        \"record\":340282366920938463463374607431768211448}";
+
+    #[test]
     fn batching_commits_on_fill() {
         let mut net = network(3);
         assert!(net.record(&event(1, ProvenanceAction::Ingested)).unwrap().is_none());

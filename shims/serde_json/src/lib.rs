@@ -6,7 +6,7 @@
 //! workspace's 128-bit ids require.
 
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Error for malformed JSON or a shape mismatch during rebuild.
 #[derive(Clone, Debug)]
@@ -65,17 +65,29 @@ fn emit(value: &Value, out: &mut String) {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Uint(u) => out.push_str(&u.to_string()),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        // Writing into a `String` cannot fail. Integers that fit 64 bits
+        // take the narrower (faster) formatter.
+        Value::Uint(u) => {
+            let _ = match u64::try_from(*u) {
+                Ok(small) => write!(out, "{small}"),
+                Err(_) => write!(out, "{u}"),
+            };
+        }
+        Value::Int(i) => {
+            let _ = match i64::try_from(*i) {
+                Ok(small) => write!(out, "{small}"),
+                Err(_) => write!(out, "{i}"),
+            };
+        }
         Value::Float(f) => {
             if f.is_finite() {
                 // Match serde_json: keep a decimal point so the value
                 // re-parses as a float.
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    out.push_str(&format!("{f:.1}"));
+                let _ = if f.fract() == 0.0 && f.abs() < 1e15 {
+                    write!(out, "{f:.1}")
                 } else {
-                    out.push_str(&f.to_string());
-                }
+                    write!(out, "{f}")
+                };
             } else {
                 out.push_str("null");
             }
@@ -106,33 +118,49 @@ fn emit(value: &Value, out: &mut String) {
     }
 }
 
+/// Writes `s` as a JSON string literal, copying each run of bytes that
+/// needs no escape with one `push_str`. Only ASCII bytes are ever escaped,
+/// so every run boundary is a char boundary.
 fn emit_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run_start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(s.get(run_start..i).unwrap_or_default());
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run_start = i + 1;
     }
+    out.push_str(s.get(run_start..).unwrap_or_default());
     out.push('"');
 }
 
 // ---------------------------------------------------------------- parser
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        src: s,
+        bytes: s.as_bytes(),
+        pos: 0,
+    };
     let value = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -254,70 +282,61 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
+            // Copy the run up to the next quote or backslash in one go.
+            // Both are ASCII, so the run ends on a char boundary of the
+            // (already valid UTF-8) input.
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::new("unterminated string"))?;
+            let end = self.pos + run;
+            out.push_str(
+                self.src
+                    .get(self.pos..end)
+                    .ok_or_else(|| Error::new("invalid UTF-8 in string"))?,
+            );
+            self.pos = end + 1;
+            if self.bytes.get(end) == Some(&b'"') {
+                return Ok(out);
+            }
+            let esc = *self
                 .bytes
                 .get(self.pos)
-                .ok_or_else(|| Error::new("unterminated string"))?;
+                .ok_or_else(|| Error::new("unterminated escape"))?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if self.bytes.get(self.pos) == Some(&b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    return Err(Error::new("unpaired surrogate"));
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid \\u escape"))?,
-                            );
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000c}'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let code = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair: require the low half.
+                        if self.bytes.get(self.pos) == Some(&b'\\')
+                            && self.bytes.get(self.pos + 1) == Some(&b'u')
+                        {
+                            self.pos += 2;
+                            let lo = self.hex4()?;
+                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                        } else {
+                            return Err(Error::new("unpaired surrogate"));
                         }
-                        other => {
-                            return Err(Error::new(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
+                    } else {
+                        hi
+                    };
+                    out.push(char::from_u32(code).ok_or_else(|| Error::new("invalid \\u escape"))?);
                 }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting here.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| Error::new("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(chunk)
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
+                other => {
+                    return Err(Error::new(format!(
+                        "invalid escape `\\{}`",
+                        other as char
+                    )))
                 }
             }
         }
@@ -356,14 +375,16 @@ impl<'a> Parser<'a> {
                 .parse()
                 .map_err(|_| Error::new(format!("invalid number `{text}`")))?;
             Ok(Value::Float(f))
-        } else if let Some(digits) = text.strip_prefix('-') {
-            let magnitude: i128 = digits
+        } else if text.starts_with('-') {
+            // Parsed with its sign, so `i128::MIN` (whose magnitude does
+            // not fit `i128`) round-trips.
+            let i: i128 = text
                 .parse()
                 .map_err(|_| Error::new(format!("invalid number `{text}`")))?;
-            if magnitude == 0 {
+            if i == 0 {
                 Ok(Value::Uint(0))
             } else {
-                Ok(Value::Int(-magnitude))
+                Ok(Value::Int(i))
             }
         } else {
             let u: u128 = text
@@ -371,15 +392,6 @@ impl<'a> Parser<'a> {
                 .map_err(|_| Error::new(format!("invalid number `{text}`")))?;
             Ok(Value::Uint(u))
         }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
@@ -427,6 +439,81 @@ mod tests {
         let json = to_string(&v).unwrap();
         let back: Vec<(u64, String)> = from_str(&json).unwrap();
         assert_eq!(back, v);
+    }
+
+    fn emitted(value: &Value) -> String {
+        let mut out = String::new();
+        emit(value, &mut out);
+        out
+    }
+
+    fn str_round_trip(raw: &str, json: &str) {
+        let value = Value::Str(raw.to_string());
+        assert_eq!(emitted(&value), json, "emit {raw:?}");
+        assert_eq!(parse(json).unwrap(), value, "parse {json}");
+    }
+
+    #[test]
+    fn string_runs_keep_multi_byte_utf8() {
+        str_round_trip("é", "\"é\"");
+        str_round_trip("a€b🧪c", "\"a€b🧪c\"");
+        str_round_trip("🧪\"é\"€", "\"🧪\\\"é\\\"€\"");
+        str_round_trip("日本\n語", "\"日本\\n語\"");
+    }
+
+    #[test]
+    fn escapes_at_run_start_middle_and_end() {
+        str_round_trip("\"abc", "\"\\\"abc\"");
+        str_round_trip("ab\\cd", "\"ab\\\\cd\"");
+        str_round_trip("abc\t", "\"abc\\t\"");
+        str_round_trip("\n\r\t", "\"\\n\\r\\t\"");
+        str_round_trip("", "\"\"");
+        // Escapes the emitter never writes still parse.
+        assert_eq!(
+            parse("\"\\/x\\b\\f\"").unwrap(),
+            Value::Str("/x\u{8}\u{c}".into())
+        );
+        assert_eq!(parse("\"\\u00e9\\ud83e\\uddea\"").unwrap(), Value::Str("é🧪".into()));
+    }
+
+    #[test]
+    fn control_bytes_are_escaped_and_raw_ones_still_parse() {
+        str_round_trip("\u{0}a\u{1f}", "\"\\u0000a\\u001f\"");
+        str_round_trip("x\u{8}\u{c}\u{7f}", "\"x\\u0008\\u000c\u{7f}\"");
+        // A raw control byte inside a string is taken verbatim.
+        assert_eq!(parse("\"a\u{1}\nb\"").unwrap(), Value::Str("a\u{1}\nb".into()));
+    }
+
+    #[test]
+    fn malformed_strings_are_errors() {
+        for bad in ["\"abc", "\"ab\\", "\"\\x\"", "\"\\u12\"", "\"\\ud83e\""] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn integers_at_width_boundaries() {
+        let cases = [
+            (Value::Uint(u128::from(u64::MAX)), "18446744073709551615"),
+            (Value::Uint(u128::from(u64::MAX) + 1), "18446744073709551616"),
+            (Value::Uint(u128::MAX), "340282366920938463463374607431768211455"),
+            (Value::Int(i128::from(i64::MIN)), "-9223372036854775808"),
+            (Value::Int(i128::from(i64::MIN) - 1), "-9223372036854775809"),
+            (Value::Int(i128::MIN), "-170141183460469231731687303715884105728"),
+            (Value::Uint(0), "0"),
+            (Value::Int(-1), "-1"),
+        ];
+        for (value, json) in cases {
+            assert_eq!(emitted(&value), json);
+            assert_eq!(parse(json).unwrap(), value, "{json}");
+        }
+        assert_eq!(parse("-0").unwrap(), Value::Uint(0));
+        assert!(parse("340282366920938463463374607431768211456").is_err());
+        assert!(parse("-170141183460469231731687303715884105729").is_err());
+        assert_eq!(to_string(&i128::MIN).unwrap(), "-170141183460469231731687303715884105728");
+        assert_eq!(from_str::<i128>("-170141183460469231731687303715884105728").unwrap(), i128::MIN);
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert!(from_str::<u64>("18446744073709551616").is_err());
     }
 
     #[test]
