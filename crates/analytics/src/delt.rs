@@ -14,6 +14,7 @@
 //! SCCS-style fit without the per-patient terms.
 
 use hc_kb::emr::EmrCohort;
+use hc_telemetry::Registry;
 
 use crate::matrix::{solve, Mat};
 
@@ -100,12 +101,14 @@ impl DeltModel {
     }
 }
 
-/// Fits DELT on a cohort.
+/// Fits DELT on a cohort. With `metrics` set, counts the fit in
+/// `analytics.delt.fits` and records each outer iteration's wall time
+/// in `analytics.delt.iter_wall_ns`.
 ///
 /// # Panics
 ///
 /// Panics if the cohort has no patients or no measurements.
-pub fn fit(cohort: &EmrCohort, config: &DeltConfig) -> DeltModel {
+pub fn fit(cohort: &EmrCohort, config: &DeltConfig, metrics: Option<&Registry>) -> DeltModel {
     let n_drugs = cohort.config.n_drugs;
     let n_patients = cohort.patients.len();
     assert!(n_patients > 0, "cohort has no patients");
@@ -123,10 +126,10 @@ pub fn fit(cohort: &EmrCohort, config: &DeltConfig) -> DeltModel {
         by_patient[s.patient].push(idx);
     }
 
-    let iter_hist = crate::telemetry::histogram("analytics.delt.iter_wall_ns");
-    if let Some(fits) = crate::telemetry::counter("analytics.delt.fits") {
-        fits.inc();
-    }
+    let iter_hist = metrics.map(|registry| {
+        registry.counter("analytics.delt.fits").inc();
+        registry.histogram("analytics.delt.iter_wall_ns")
+    });
     for _ in 0..config.outer_iters {
         // Feeds `analytics.delt.iter_wall_ns`: wall time per outer
         // iteration for solver profiling; no simulated-latency result
@@ -273,7 +276,7 @@ mod tests {
     #[test]
     fn delt_recovers_planted_effects() {
         let c = cohort();
-        let model = fit(&c, &DeltConfig::default());
+        let model = fit(&c, &DeltConfig::default(), None);
         let truth = c.true_effects();
         let rmse = model.beta_rmse(&truth);
         assert!(rmse < 0.15, "rmse={rmse}");
@@ -285,7 +288,7 @@ mod tests {
     fn delt_beats_marginal_baseline() {
         let c = cohort();
         let truth = c.true_effects();
-        let model = fit(&c, &DeltConfig::default());
+        let model = fit(&c, &DeltConfig::default(), None);
         let marginal = marginal_effects(&c);
         let delt_rmse = model.beta_rmse(&truth);
         let marg_rmse = {
@@ -306,7 +309,7 @@ mod tests {
     fn baseline_ablation_hurts() {
         let c = cohort();
         let truth = c.true_effects();
-        let full = fit(&c, &DeltConfig::default());
+        let full = fit(&c, &DeltConfig::default(), None);
         let no_baseline = fit(
             &c,
             &DeltConfig {
@@ -314,6 +317,7 @@ mod tests {
                 time_term: false,
                 ..DeltConfig::default()
             },
+            None,
         );
         assert!(full.beta_rmse(&truth) <= no_baseline.beta_rmse(&truth) + 1e-9);
     }
@@ -321,7 +325,7 @@ mod tests {
     #[test]
     fn precision_at_k_for_lowering() {
         let c = cohort();
-        let model = fit(&c, &DeltConfig::default());
+        let model = fit(&c, &DeltConfig::default(), None);
         let truth = c.lowering_drugs();
         let p = lowering_precision_at_k(&model.lowering_candidates(), &truth, 3);
         assert!(p >= 2.0 / 3.0, "p@3={p}");
@@ -330,7 +334,7 @@ mod tests {
     #[test]
     fn mse_reported_and_reasonable() {
         let c = cohort();
-        let model = fit(&c, &DeltConfig::default());
+        let model = fit(&c, &DeltConfig::default(), None);
         assert!(model.mse < 0.2, "mse={}", model.mse);
         assert_eq!(model.alpha.len(), 400);
     }
@@ -348,7 +352,7 @@ mod tests {
             },
             9,
         );
-        let model = fit(&c, &DeltConfig::default());
+        let model = fit(&c, &DeltConfig::default(), None);
         // Estimated gammas should correlate with true drifts.
         let mut num = 0.0;
         let mut da = 0.0;

@@ -16,6 +16,8 @@
 //! (3). The objective is minimized by full-batch gradient descent with
 //! periodic multiplicative weight updates.
 
+use hc_telemetry::Registry;
+
 use crate::kmeans;
 use crate::matrix::Mat;
 use crate::mf::weighted_residual;
@@ -119,7 +121,9 @@ fn sim_loss_and_grad(s: &Mat, f: &Mat) -> (f64, Mat) {
     (loss, grad)
 }
 
-/// Fits JMF.
+/// Fits JMF. With `metrics` set, counts the fit in
+/// `analytics.jmf.fits` and records each iteration's wall time in
+/// `analytics.jmf.iter_wall_ns`.
 ///
 /// # Panics
 ///
@@ -130,6 +134,7 @@ pub fn fit(
     disease_sims: &[Vec<Vec<f64>>],
     config: &JmfConfig,
     seed: u64,
+    metrics: Option<&Registry>,
 ) -> JmfModel {
     assert!(!r.is_empty() && !r[0].is_empty(), "matrix must be nonempty");
     let n = r.len();
@@ -163,10 +168,10 @@ pub fn fit(
     let mut drug_weights = uniform_d.clone();
     let mut disease_weights = uniform_s.clone();
 
-    let iter_hist = crate::telemetry::histogram("analytics.jmf.iter_wall_ns");
-    if let Some(fits) = crate::telemetry::counter("analytics.jmf.fits") {
-        fits.inc();
-    }
+    let iter_hist = metrics.map(|registry| {
+        registry.counter("analytics.jmf.fits").inc();
+        registry.histogram("analytics.jmf.iter_wall_ns")
+    });
     let mut final_loss = f64::INFINITY;
     for iter in 0..config.iters {
         // Feeds `analytics.jmf.iter_wall_ns`: wall time per iteration
@@ -309,6 +314,7 @@ mod tests {
             &disease_similarity_sources(&bank),
             &fast_config(),
             4,
+            None,
         );
         let scored = holdout_scores(&model.score_matrix(), &train, &held);
         let auc = auc_roc(&scored);
@@ -325,6 +331,7 @@ mod tests {
             &disease_similarity_sources(&bank),
             &fast_config(),
             4,
+            None,
         );
         let mf_model = crate::mf::factorize(
             &train,
@@ -353,6 +360,7 @@ mod tests {
             &disease_similarity_sources(&bank),
             &fast_config(),
             4,
+            None,
         );
         let dw: f64 = model.drug_weights.iter().sum();
         let sw: f64 = model.disease_weights.iter().sum();
@@ -385,6 +393,7 @@ mod tests {
                 ..fast_config()
             },
             4,
+            None,
         );
         let noisy = model.drug_weights[2];
         let informative = model.drug_weights[0].max(model.drug_weights[1]);
@@ -407,6 +416,7 @@ mod tests {
                 ..fast_config()
             },
             4,
+            None,
         );
         for &w in &model.drug_weights {
             assert!((w - 1.0 / 3.0).abs() < 1e-12);
@@ -423,6 +433,7 @@ mod tests {
             &disease_similarity_sources(&bank),
             &fast_config(),
             4,
+            None,
         );
         let groups = model.drug_groups(4, 9);
         let truth: Vec<usize> = bank.drugs.iter().map(|d| d.class).collect();
@@ -434,8 +445,20 @@ mod tests {
     fn works_without_similarity_sources() {
         let bank = small_bank();
         let (train, _) = bank.split_associations(0.2, 3);
-        let model = fit(&train, &[], &[], &fast_config(), 4);
+        let model = fit(&train, &[], &[], &fast_config(), 4, None);
         assert!(model.drug_weights.is_empty());
         assert!(model.final_loss.is_finite());
+    }
+
+    #[test]
+    fn records_into_the_registry_it_is_given() {
+        let bank = small_bank();
+        let (train, _) = bank.split_associations(0.2, 3);
+        let registry = Registry::new();
+        let config = fast_config();
+        fit(&train, &[], &[], &config, 4, Some(&registry));
+        assert_eq!(registry.counter("analytics.jmf.fits").get(), 1);
+        let iters = registry.histogram("analytics.jmf.iter_wall_ns").count();
+        assert_eq!(iters, config.iters as u64);
     }
 }

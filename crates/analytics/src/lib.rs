@@ -32,4 +32,3 @@ pub mod kmeans;
 pub mod lifecycle;
 pub mod matrix;
 pub mod mf;
-pub mod telemetry;

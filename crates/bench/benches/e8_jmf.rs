@@ -31,7 +31,7 @@ fn bench_fit(c: &mut Criterion) {
                 iters,
                 ..JmfConfig::default()
             };
-            b.iter(|| black_box(jmf::fit(&train, &drug_sims, &disease_sims, &config, 8).final_loss))
+            b.iter(|| black_box(jmf::fit(&train, &drug_sims, &disease_sims, &config, 8, None).final_loss))
         });
         group.bench_with_input(BenchmarkId::new("mf", iters), &iters, |b, &iters| {
             let config = MfConfig {

@@ -19,7 +19,7 @@ fn bench_delt(c: &mut Criterion) {
             9,
         );
         group.bench_with_input(BenchmarkId::new("delt_full", patients), &cohort, |b, cohort| {
-            b.iter(|| black_box(delt::fit(cohort, &DeltConfig::default()).mse))
+            b.iter(|| black_box(delt::fit(cohort, &DeltConfig::default(), None).mse))
         });
         group.bench_with_input(
             BenchmarkId::new("marginal_baseline", patients),

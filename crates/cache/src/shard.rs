@@ -24,9 +24,8 @@
 //!   delivers").
 //!
 //! Per-shard hit/miss/eviction state stays inside each shard's
-//! [`CacheStats`]; [`ShardedCache::stats`] sums them, and
-//! [`ShardedCache::enable_telemetry`] mirrors them into per-shard
-//! `hc-telemetry` counters (`cache.shard.<i>.*`, see OBSERVABILITY.md).
+//! [`CacheStats`]: [`ShardedCache::shard_stats`] reports it per stripe
+//! (the skew E18 looks at) and [`ShardedCache::stats`] sums it.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -37,15 +36,6 @@ use parking_lot::Mutex;
 use crate::invalidation::InvalidationBus;
 use crate::policy::CachePolicy;
 use crate::stats::CacheStats;
-
-/// Per-shard telemetry handles (see `enable_telemetry`).
-struct ShardInstruments {
-    hits: hc_telemetry::Counter,
-    misses: hc_telemetry::Counter,
-    puts: hc_telemetry::Counter,
-    invalidations: hc_telemetry::Counter,
-    entries: hc_telemetry::Gauge,
-}
 
 /// A seeded FNV-1a hasher: deterministic across hosts and Rust versions
 /// (unlike `DefaultHasher`), and keyed so shard routing is a property of
@@ -133,7 +123,6 @@ pub fn shard_capacity(total: usize, shards: usize) -> usize {
 pub struct ShardedCache<K, V, C> {
     shards: Vec<Mutex<C>>,
     router: ShardRouter,
-    instruments: Option<Vec<ShardInstruments>>,
     _marker: std::marker::PhantomData<(K, V)>,
 }
 
@@ -158,30 +147,8 @@ impl<K: Hash + Eq, V, C: CachePolicy<K, V>> ShardedCache<K, V, C> {
         ShardedCache {
             shards: (0..shards).map(|i| Mutex::new(factory(i))).collect(),
             router,
-            instruments: None,
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Registers per-shard counters (`<prefix>.shard.<i>.hits`,
-    /// `.misses`, `.puts`, `.invalidations`, `.entries`) on `registry`.
-    ///
-    /// Takes `&mut self` so instrumentation is wired before the store is
-    /// shared across threads; the hot path then reads the handles
-    /// without any extra lock.
-    pub fn enable_telemetry(&mut self, registry: &hc_telemetry::Registry, prefix: &str) {
-        self.instruments = Some(
-            (0..self.shards.len())
-                .map(|i| ShardInstruments {
-                    hits: registry.counter(&format!("{prefix}.shard.{i}.hits")),
-                    misses: registry.counter(&format!("{prefix}.shard.{i}.misses")),
-                    puts: registry.counter(&format!("{prefix}.shard.{i}.puts")),
-                    invalidations: registry
-                        .counter(&format!("{prefix}.shard.{i}.invalidations")),
-                    entries: registry.gauge(&format!("{prefix}.shard.{i}.entries")),
-                })
-                .collect(),
-        );
     }
 
     /// The shard index `key` routes to.
@@ -197,49 +164,21 @@ impl<K: Hash + Eq, V, C: CachePolicy<K, V>> ShardedCache<K, V, C> {
     /// Looks up `key` in its shard.
     pub fn get(&self, key: &K) -> Option<V> {
         let s = self.router.route(key);
-        // s < shards.len(): route() masks the hash by len-1, and the
-        // instruments Vec is built with the same length.
-        let out = self.shards[s].lock().get(key); // hc-lint: allow(panic-index)
-        if let Some(inst) = self.instruments.as_ref().map(|v| &v[s]) {
-            if out.is_some() {
-                inst.hits.inc();
-            } else {
-                inst.misses.inc();
-            }
-        }
-        out
+        // s < shards.len(): route() masks the hash by len-1.
+        self.shards[s].lock().get(key) // hc-lint: allow(panic-index)
     }
 
     /// Inserts or replaces `key` in its shard, evicting per the shard's
     /// policy when that shard is full.
     pub fn put(&self, key: K, value: V) {
         let s = self.router.route(&key);
-        let len = {
-            let mut shard = self.shards[s].lock(); // hc-lint: allow(panic-index)
-            shard.put(key, value);
-            shard.len()
-        };
-        if let Some(inst) = self.instruments.as_ref().map(|v| &v[s]) { // hc-lint: allow(panic-index)
-            inst.puts.inc();
-            inst.entries.set(len as i64);
-        }
+        self.shards[s].lock().put(key, value); // hc-lint: allow(panic-index)
     }
 
     /// Removes `key` from its shard; returns whether it was present.
     pub fn invalidate(&self, key: &K) -> bool {
         let s = self.router.route(key);
-        let (hit, len) = {
-            let mut shard = self.shards[s].lock(); // hc-lint: allow(panic-index)
-            let hit = shard.invalidate(key);
-            (hit, shard.len())
-        };
-        if let Some(inst) = self.instruments.as_ref().map(|v| &v[s]) { // hc-lint: allow(panic-index)
-            if hit {
-                inst.invalidations.inc();
-            }
-            inst.entries.set(len as i64);
-        }
-        hit
+        self.shards[s].lock().invalidate(key) // hc-lint: allow(panic-index)
     }
 
     /// Live entries across all shards. Shards are locked one at a time,
@@ -279,12 +218,8 @@ impl<K: Hash + Eq, V, C: CachePolicy<K, V>> ShardedCache<K, V, C> {
 
     /// Clears every shard (each entry counted as an invalidation).
     pub fn clear(&self) {
-        for (s, shard) in self.shards.iter().enumerate() {
+        for shard in &self.shards {
             shard.lock().clear();
-            // s comes from enumerate() over a same-length Vec.
-            if let Some(inst) = self.instruments.as_ref().map(|v| &v[s]) { // hc-lint: allow(panic-index)
-                inst.entries.set(0);
-            }
         }
     }
 }
@@ -556,28 +491,6 @@ mod tests {
             global.evictions
         );
         assert_eq!(global.lookups(), 200);
-    }
-
-    #[test]
-    fn telemetry_counters_mirror_stats() {
-        let registry = hc_telemetry::Registry::new();
-        let mut cache = ShardedCache::lru(16, 2, 3);
-        cache.enable_telemetry(&registry, "cache");
-        for k in 0..8u64 {
-            cache.put(k, k);
-        }
-        for k in 0..16u64 {
-            let _ = cache.get(&k);
-        }
-        let stats = cache.stats();
-        let sum = |name: &str| {
-            (0..2)
-                .map(|i| registry.counter(&format!("cache.shard.{i}.{name}")).get())
-                .sum::<u64>()
-        };
-        assert_eq!(sum("hits"), stats.hits);
-        assert_eq!(sum("misses"), stats.misses);
-        assert_eq!(sum("puts"), 8);
     }
 
     #[test]

@@ -110,6 +110,7 @@ pub struct HealthCloudPlatform {
     /// Every subsystem bootstrapped here reports into it; snapshot it
     /// via [`HealthCloudPlatform::telemetry_snapshot`].
     pub telemetry: hc_telemetry::Registry,
+    telemetry_on: bool,
     rng: Mutex<StdRng>,
 }
 
@@ -136,9 +137,7 @@ impl HealthCloudPlatform {
     ///
     /// With `telemetry_on = false` no subsystem is instrumented and the
     /// platform's registry stays empty — the baseline E16 measures
-    /// instrumentation overhead against. Note the analytics recorder is
-    /// crate-global, so an uninstrumented platform should not share a
-    /// process with an instrumented one whose analytics metrics matter.
+    /// instrumentation overhead against.
     pub fn bootstrap_instrumented(config: PlatformConfig, telemetry_on: bool) -> Self {
         let clock = SimClock::new();
         let mut rng = hc_common::rng::seeded(config.seed);
@@ -177,7 +176,7 @@ impl HealthCloudPlatform {
         rand::Rng::fill(&mut rng, &mut token_key);
         let tokens = TokenService::new(token_key, clock.clone());
 
-        let pipeline = IngestionPipeline::new(
+        let mut pipeline = IngestionPipeline::new(
             PipelineDeps {
                 kms: Arc::clone(&kms),
                 lake: Arc::clone(&lake),
@@ -189,10 +188,7 @@ impl HealthCloudPlatform {
             config.seed,
         );
         if telemetry_on {
-            pipeline.enable_telemetry(&telemetry);
-            // Analytics kernels (JMF/DELT) report through the crate-wide
-            // recorder; the platform's registry is the natural home.
-            hc_analytics::telemetry::install(&telemetry);
+            pipeline.instrument(&telemetry);
         }
 
         // The identity blockchain is a *separate* permissioned network,
@@ -242,6 +238,7 @@ impl HealthCloudPlatform {
             mixer,
             health: Mutex::new(health),
             telemetry,
+            telemetry_on,
             rng: Mutex::new(hc_common::rng::seeded_stream(config.seed, 1001)),
         }
     }
@@ -252,6 +249,12 @@ impl HealthCloudPlatform {
     /// exporter in [`hc_telemetry::export`].
     pub fn telemetry_snapshot(&self) -> hc_telemetry::TelemetrySnapshot {
         self.telemetry.snapshot()
+    }
+
+    /// The registry work run on this platform reports into: the
+    /// platform's own when bootstrapped instrumented, else `None`.
+    pub(crate) fn metrics(&self) -> Option<&hc_telemetry::Registry> {
+        self.telemetry_on.then_some(&self.telemetry)
     }
 
     /// Re-derives subsystem statuses from live platform signals and

@@ -70,7 +70,7 @@ pub fn run_repositioning_study(
     let drug_sims = drug_similarity_sources(bank);
     let disease_sims = disease_similarity_sources(bank);
 
-    let jmf_model = jmf::fit(&train, &drug_sims, &disease_sims, config, seed);
+    let jmf_model = jmf::fit(&train, &drug_sims, &disease_sims, config, seed, platform.metrics());
     let jmf_auc = auc_roc(&holdout_scores(&jmf_model.score_matrix(), &train, &held_out));
 
     let uniform_model = jmf::fit(
@@ -82,6 +82,7 @@ pub fn run_repositioning_study(
             ..*config
         },
         seed,
+        platform.metrics(),
     );
     let jmf_uniform_auc = auc_roc(&holdout_scores(
         &uniform_model.score_matrix(),
@@ -296,7 +297,7 @@ pub fn run_delt_study(
     let lowering = original.lowering_drugs();
     let k = lowering.len().max(1);
 
-    let model = delt::fit(&exported, config);
+    let model = delt::fit(&exported, config, platform.metrics());
     let delt_rmse = model.beta_rmse(&truth);
     let delt_precision = delt::lowering_precision_at_k(&model.lowering_candidates(), &lowering, k);
 

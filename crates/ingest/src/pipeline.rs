@@ -196,7 +196,7 @@ struct ReadyJob {
 const STAGE_NAMES: [&str; 7] =
     ["decrypt", "validate", "malware_scan", "consent", "deid", "store", "anchor"];
 
-/// Registry handles, installed by [`IngestionPipeline::enable_telemetry`].
+/// Registry handles, installed by [`IngestionPipeline::instrument`].
 ///
 /// Stage histograms record *wall* nanoseconds a job spent in each stage
 /// it passed; jobs rejected or dead-lettered at a stage count in the
@@ -240,7 +240,7 @@ pub struct IngestionPipeline {
     rng: Mutex<rand::rngs::StdRng>,
     next_ingestion: Mutex<u128>,
     resilience: Mutex<Option<Resilience>>,
-    telemetry: Mutex<Option<Arc<PipelineInstruments>>>,
+    telemetry: Option<PipelineInstruments>,
 }
 
 impl std::fmt::Debug for IngestionPipeline {
@@ -303,7 +303,7 @@ impl IngestionPipeline {
             rng: Mutex::new(hc_common::rng::seeded_stream(seed, 909)),
             next_ingestion: Mutex::new(0),
             resilience: Mutex::new(None),
-            telemetry: Mutex::new(None),
+            telemetry: None,
         }
     }
 
@@ -311,8 +311,8 @@ impl IngestionPipeline {
     /// (`ingest.stage.<name>.wall_ns`), outcome counters and queue/DLQ
     /// depth gauges, all under the `ingest.*` prefix. The existing
     /// [`PipelineStats`] counters keep working unchanged.
-    pub fn enable_telemetry(&self, registry: &hc_telemetry::Registry) {
-        *self.telemetry.lock() = Some(Arc::new(PipelineInstruments {
+    pub fn instrument(&mut self, registry: &hc_telemetry::Registry) {
+        self.telemetry = Some(PipelineInstruments {
             stage_wall: STAGE_NAMES
                 .iter()
                 .map(|s| registry.histogram(&format!("ingest.stage.{s}.wall_ns")))
@@ -329,12 +329,7 @@ impl IngestionPipeline {
             pool_workers: registry.gauge("ingest.pool.workers"),
             pool_in_flight: registry.gauge("ingest.pool.in_flight"),
             pool_reorder_depth: registry.gauge("ingest.pool.reorder_depth"),
-        }));
-    }
-
-    /// The installed telemetry handles, if any (cheap `Arc` clone).
-    fn instruments(&self) -> Option<Arc<PipelineInstruments>> {
-        self.telemetry.lock().clone()
+        });
     }
 
     /// Turns on the resilience layer: stage-level retries against
@@ -400,7 +395,7 @@ impl IngestionPipeline {
                 break;
             }
         }
-        if let Some(inst) = self.instruments() {
+        if let Some(inst) = &self.telemetry {
             inst.anchors_replayed.add(replayed as u64);
             inst.anchors_buffered.set(self.buffered_anchor_count() as i64);
         }
@@ -532,7 +527,7 @@ impl IngestionPipeline {
             );
             return StatusUrl(id);
         }
-        if let Some(inst) = self.instruments() {
+        if let Some(inst) = &self.telemetry {
             inst.received.inc();
             inst.queue_depth.set(self.rx.len() as i64);
         }
@@ -556,7 +551,7 @@ impl IngestionPipeline {
             }
             self.stats.lock().dead_lettered += 1;
         }
-        if let Some(inst) = self.instruments() {
+        if let Some(inst) = &self.telemetry {
             match &outcome {
                 IngestionStatus::Stored { .. } => inst.stored.inc(),
                 IngestionStatus::Rejected { .. } => inst.rejected.inc(),
@@ -604,8 +599,8 @@ impl IngestionPipeline {
     /// Returns the number of jobs processed.
     pub fn process_all_parallel(&self, workers: usize) -> usize {
         let workers = workers.max(1);
-        let inst = self.instruments();
-        if let Some(inst) = &inst {
+        let inst = self.telemetry.as_ref();
+        if let Some(inst) = inst {
             inst.pool_workers.set(workers as i64);
         }
         hc_common::conc::pool::ordered_pipeline(
@@ -617,7 +612,7 @@ impl IngestionPipeline {
                 self.finish_job(&job, outcome);
             },
             &mut |progress| {
-                if let Some(inst) = &inst {
+                if let Some(inst) = inst {
                     inst.pool_in_flight.set(progress.in_flight as i64);
                     inst.pool_reorder_depth.set(progress.reorder_depth as i64);
                 }
@@ -668,7 +663,7 @@ impl IngestionPipeline {
                     let delay = res.retry.delay_after(attempt, &mut res.rng);
                     res.clock.advance(delay);
                     self.stats.lock().retried += 1;
-                    if let Some(inst) = self.instruments() {
+                    if let Some(inst) = &self.telemetry {
                         inst.retries.inc();
                     }
                 }
@@ -689,7 +684,7 @@ impl IngestionPipeline {
                     res.buffered_anchors.push(event);
                     let depth = res.buffered_anchors.len();
                     self.stats.lock().anchors_buffered += 1;
-                    if let Some(inst) = self.instruments() {
+                    if let Some(inst) = &self.telemetry {
                         inst.anchors_buffered.set(depth as i64);
                     }
                     return;
@@ -705,7 +700,7 @@ impl IngestionPipeline {
                 res.buffered_anchors.push(event);
                 let depth = res.buffered_anchors.len();
                 self.stats.lock().anchors_buffered += 1;
-                if let Some(inst) = self.instruments() {
+                if let Some(inst) = &self.telemetry {
                     inst.anchors_buffered.set(depth as i64);
                 }
             }
@@ -733,7 +728,7 @@ impl IngestionPipeline {
     /// the commutative retry/stats counters inside [`Self::stage_guard`]),
     /// so any number of workers may run it concurrently.
     fn prepare_job(&self, job: &Job) -> Prepared {
-        let inst = self.instruments();
+        let inst = self.telemetry.as_ref();
         // Stage timings feed the `ingest.stage.*_wall_ns` histograms,
         // which deliberately measure wall time (pipeline overhead), not
         // simulated latency — sim costs are charged via the DES clock.
@@ -741,7 +736,7 @@ impl IngestionPipeline {
         let mut stage_start = std::time::Instant::now();
         // Records the wall time of stage `idx` and restarts the stopwatch.
         let mark = |idx: usize, start: &mut std::time::Instant| {
-            if let Some(inst) = &inst {
+            if let Some(inst) = inst {
                 // idx is a STAGE_NAMES index; the histogram Vec mirrors it.
                 inst.stage_wall[idx].record(start.elapsed().as_nanos() as u64); // hc-lint: allow(panic-index)
             }
@@ -935,12 +930,12 @@ impl IngestionPipeline {
     /// consent registry mutations, record-key RNG draws, reference-id
     /// assignment and ledger anchors happen here, in submission order.
     fn commit_prepared(&self, job: &Job, ready: ReadyJob) -> IngestionStatus {
-        let inst = self.instruments();
+        let inst = self.telemetry.as_ref();
         // Commit-stage timings; wall-clock by design (see prepare_job).
         // hc-lint: allow(det-wallclock)
         let mut stage_start = std::time::Instant::now();
         let mark = |idx: usize, start: &mut std::time::Instant| {
-            if let Some(inst) = &inst {
+            if let Some(inst) = inst {
                 // idx is a STAGE_NAMES index; the histogram Vec mirrors it.
                 inst.stage_wall[idx].record(start.elapsed().as_nanos() as u64); // hc-lint: allow(panic-index)
             }

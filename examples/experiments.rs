@@ -512,7 +512,7 @@ fn e8() {
         println!("{name:<28} {:>8.3} {:>8.3}", auc_roc(&scores), aupr(&scores));
     };
 
-    let jmf_model = jmf::fit(&train, &drug_sims, &disease_sims, &config, 7);
+    let jmf_model = jmf::fit(&train, &drug_sims, &disease_sims, &config, 7, None);
     report(
         "JMF (all sources, learned)",
         holdout_scores(&jmf_model.score_matrix(), &train, &held),
@@ -526,6 +526,7 @@ fn e8() {
             ..config
         },
         7,
+        None,
     );
     report(
         "JMF (uniform weights)",
@@ -538,6 +539,7 @@ fn e8() {
             &disease_sims[0..0],
             &config,
             7,
+            None,
         );
         report(
             &format!("JMF ({name})"),
@@ -595,7 +597,7 @@ fn e9() {
     };
     println!("{:<34} {:>10} {:>8}", "method", "β RMSE", "P@k");
     let run = |name: &str, config: &DeltConfig| {
-        let model = delt::fit(&cohort, config);
+        let model = delt::fit(&cohort, config, None);
         println!(
             "{name:<34} {:>10.3} {:>8.2}",
             model.beta_rmse(&truth),

@@ -2,12 +2,12 @@
 //!
 //! Run: `cargo run --release --example telemetry_dump`
 //!
-//! Exercises every instrumented subsystem — ingest, ledger, analytics
-//! (wired automatically at bootstrap), plus a cache hierarchy, the
-//! intercloud gateway, and a circuit breaker instrumented onto the same
-//! registry — then prints the Prometheus text exposition, the span-tree
-//! flame dump, and the telemetry-fed alarm evaluation. See
-//! OBSERVABILITY.md for the metric catalogue.
+//! Exercises every instrumented subsystem — ingest and ledger (wired at
+//! bootstrap), plus a cache hierarchy, the intercloud gateway, a circuit
+//! breaker and a JMF fit, each handed the platform's registry — then
+//! prints the Prometheus text exposition, the span-tree flame dump, and
+//! the telemetry-fed alarm evaluation. See OBSERVABILITY.md for the
+//! metric catalogue.
 
 use hc_cache::multilevel::CacheHierarchy;
 use hc_cache::policy::LruCache;
@@ -116,8 +116,8 @@ fn main() {
         breaker.record_success();
     }
 
-    // Analytics: a small JMF fit; bootstrap installed the recorder, so
-    // iteration timings land in the same registry.
+    // Analytics: a small JMF fit recording its iteration timings into
+    // the platform's registry.
     {
         let _span = tracer.span("analytics.jmf");
         let bank = Biobank::generate(
@@ -138,7 +138,14 @@ fn main() {
             iters: 25,
             ..hc_analytics::jmf::JmfConfig::default()
         };
-        let _model = hc_analytics::jmf::fit(&train, &drug_sims, &disease_sims, &config, 7);
+        let _model = hc_analytics::jmf::fit(
+            &train,
+            &drug_sims,
+            &disease_sims,
+            &config,
+            7,
+            Some(&platform.telemetry),
+        );
     }
 
     let snapshot = platform.telemetry_snapshot();
@@ -159,9 +166,9 @@ fn main() {
         }
     }
 
-    assert!(
-        snapshot.subsystems().len() >= 6,
-        "expected ≥6 instrumented subsystems, got {:?}",
-        snapshot.subsystems()
+    assert_eq!(
+        snapshot.subsystems(),
+        ["analytics", "cache", "cloudsim", "ingest", "ledger", "resilience"],
+        "every instrumented subsystem reports into the platform registry"
     );
 }
