@@ -7,7 +7,9 @@
 
 use hc_common::clock::{SimClock, SimInstant};
 use hc_common::id::{EnvId, OrgId, UserId};
+use hc_common::intern::Interner;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::identity::{AuthError, AuthToken, TokenService};
 use crate::model::Permission;
@@ -57,6 +59,25 @@ pub struct AccessRecord {
     pub at: SimInstant,
 }
 
+/// The part of an [`AccessRecord`] that repeats from call to call: who
+/// asked for which operation and permission, and the verdict. The gateway
+/// stores each distinct call once.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct Call {
+    user: Option<UserId>,
+    operation: String,
+    permission: Permission,
+    allowed: bool,
+}
+
+/// One stored decision: 16 bytes, and no retained allocation once its
+/// call has been seen.
+#[derive(Debug)]
+struct Decision {
+    call: Arc<Call>,
+    at: SimInstant,
+}
+
 /// A token-bucket rate limiter per user.
 #[derive(Debug)]
 struct Bucket {
@@ -71,7 +92,8 @@ pub struct ApiGateway {
     rate_per_sec: f64,
     burst: f64,
     buckets: HashMap<UserId, Bucket>,
-    audit: Vec<AccessRecord>,
+    calls: Interner<Call>,
+    audit: Vec<Decision>,
 }
 
 impl ApiGateway {
@@ -87,6 +109,7 @@ impl ApiGateway {
             rate_per_sec,
             burst,
             buckets: HashMap::new(),
+            calls: Interner::default(),
             audit: Vec::new(),
         }
     }
@@ -106,6 +129,25 @@ impl ApiGateway {
         } else {
             false
         }
+    }
+
+    /// Appends one decision to the audit log.
+    fn log(
+        &mut self,
+        user: Option<UserId>,
+        operation: &str,
+        permission: Permission,
+        allowed: bool,
+        at: SimInstant,
+    ) {
+        let call = Call {
+            user,
+            operation: operation.to_owned(),
+            permission,
+            allowed,
+        };
+        let call = self.calls.intern(&call, |c| Arc::new(c.clone()));
+        self.audit.push(Decision { call, at });
     }
 
     /// Authorizes one API call end to end.
@@ -130,49 +172,44 @@ impl ApiGateway {
         let user = match tokens.verify(token) {
             Ok(u) => u,
             Err(e) => {
-                self.audit.push(AccessRecord {
-                    user: None,
-                    operation: operation.to_owned(),
-                    permission: required,
-                    allowed: false,
-                    at: now,
-                });
+                self.log(None, operation, required, false, now);
                 return Err(Denial::Authentication(e));
             }
         };
         if !self.take_token(user) {
-            self.audit.push(AccessRecord {
-                user: Some(user),
-                operation: operation.to_owned(),
-                permission: required,
-                allowed: false,
-                at: now,
-            });
+            self.log(Some(user), operation, required, false, now);
             return Err(Denial::RateLimited);
         }
         if !rbac.check(user, org, env, required) {
-            self.audit.push(AccessRecord {
-                user: Some(user),
-                operation: operation.to_owned(),
-                permission: required,
-                allowed: false,
-                at: now,
-            });
+            self.log(Some(user), operation, required, false, now);
             return Err(Denial::Authorization { required });
         }
-        self.audit.push(AccessRecord {
-            user: Some(user),
-            operation: operation.to_owned(),
-            permission: required,
-            allowed: true,
-            at: now,
-        });
+        self.log(Some(user), operation, required, true, now);
         Ok(user)
     }
 
-    /// The audit log of every decision.
-    pub fn audit_log(&self) -> &[AccessRecord] {
-        &self.audit
+    /// The audit log of every decision, oldest first.
+    pub fn audit_log(&self) -> Vec<AccessRecord> {
+        self.audit
+            .iter()
+            .map(|d| AccessRecord {
+                user: d.call.user,
+                operation: d.call.operation.clone(),
+                permission: d.call.permission,
+                allowed: d.call.allowed,
+                at: d.at,
+            })
+            .collect()
+    }
+
+    /// How many decisions the audit log holds.
+    pub fn audit_len(&self) -> usize {
+        self.audit.len()
+    }
+
+    /// How many logged decisions were denials.
+    pub fn denial_count(&self) -> usize {
+        self.audit.iter().filter(|d| !d.call.allowed).count()
     }
 }
 
@@ -237,7 +274,8 @@ mod tests {
             &w.tokens, &w.rbac, &w.token, w.org, w.env, admin_perm, "rotate-key",
         );
         assert!(matches!(result, Err(Denial::Authorization { .. })));
-        let last = w.gateway.audit_log().last().unwrap();
+        let log = w.gateway.audit_log();
+        let last = log.last().unwrap();
         assert!(!last.allowed);
         assert_eq!(last.operation, "rotate-key");
     }
@@ -299,5 +337,31 @@ mod tests {
             "b",
         );
         assert_eq!(w.gateway.audit_log().len(), 2);
+        assert_eq!(w.gateway.audit_len(), 2);
+        assert_eq!(w.gateway.denial_count(), 1);
+    }
+
+    #[test]
+    fn audit_log_returns_every_field_of_each_decision() {
+        let mut w = world();
+        let at = w.clock.now();
+        for op in ["get-record", "get-record", "list"] {
+            w.gateway
+                .authorize(&w.tokens, &w.rbac, &w.token, w.org, w.env, read_phi(), op)
+                .unwrap();
+        }
+        let user = Some(w.token.user);
+        let record = |operation: &str| AccessRecord {
+            user,
+            operation: operation.to_owned(),
+            permission: read_phi(),
+            allowed: true,
+            at,
+        };
+        assert_eq!(
+            w.gateway.audit_log(),
+            vec![record("get-record"), record("get-record"), record("list")]
+        );
+        assert_eq!(std::mem::size_of::<Decision>(), 16);
     }
 }

@@ -17,6 +17,8 @@
 //!   multi-thread load generator (per-thread Zipf streams) and a
 //!   deterministic virtual-time lock-contention model, shared by the
 //!   E18 scaling experiment and the concurrency soak tests.
+//! * [`intern`] — an [`intern::Interner`] that stores each distinct value
+//!   once, so audit logs and ledger transactions share repeated names.
 //!
 //! # Examples
 //!
@@ -40,6 +42,7 @@ pub mod conc;
 pub mod fault;
 pub mod hex;
 pub mod id;
+pub mod intern;
 pub mod rng;
 
 pub use clock::{SimClock, SimDuration, SimInstant};

@@ -79,15 +79,15 @@ pub fn forensic_audit(
         let gateway = platform.gateway.lock();
         gateway
             .audit_log()
-            .iter()
+            .into_iter()
             .map(|record| AccessEvent {
                 actor: record
                     .user
                     .map(|u| u.to_string())
                     .unwrap_or_else(|| "unauthenticated".to_owned()),
-                operation: record.operation.clone(),
-                allowed: record.allowed,
                 touches_phi: phi_operations.contains(&record.operation.as_str()),
+                operation: record.operation,
+                allowed: record.allowed,
                 at: record.at,
             })
             .collect()

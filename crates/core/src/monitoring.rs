@@ -86,14 +86,10 @@ pub fn collect(platform: &HealthCloudPlatform) -> HealthReport {
             provenance.ledger().verify_chain(),
         )
     };
-    let gateway_log_len;
-    let gateway_denials;
-    {
+    let (gateway_log_len, gateway_denials) = {
         let gateway = platform.gateway.lock();
-        let log = gateway.audit_log();
-        gateway_log_len = log.len();
-        gateway_denials = log.iter().filter(|r| !r.allowed).count();
-    }
+        (gateway.audit_len(), gateway.denial_count())
+    };
     // refresh_health takes the lake/provenance locks itself, so it must
     // run before the struct literal below keeps guards alive.
     let health = platform.refresh_health();
@@ -103,7 +99,7 @@ pub fn collect(platform: &HealthCloudPlatform) -> HealthReport {
         ledger_height,
         ledger_status,
         attestation: platform.attestation.lock().stats(),
-        kms_events: platform.kms.audit_log().len(),
+        kms_events: platform.kms.audit_len(),
         gateway_decisions: gateway_log_len,
         gateway_denials,
         live_records,

@@ -362,7 +362,7 @@ mod tests {
             .ledger()
             .channel_transactions("provenance")
             .iter()
-            .filter(|t| t.kind == "model-deployed")
+            .filter(|t| &*t.kind == "model-deployed")
             .count();
         drop(provenance);
         // Batch may still be pending; flush through verify.

@@ -14,11 +14,13 @@
 //! secure deletion works across backups and replicas.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 use rand::Rng;
 
 use hc_common::id::{KeyId, Principal};
+use hc_common::intern::Interner;
 
 use crate::aead::{self, SecretKey, Sealed};
 
@@ -78,11 +80,11 @@ struct KeyEntry {
 pub struct KeyManagementSystem {
     master: SecretKey,
     keys: RwLock<HashMap<KeyId, KeyEntry>>,
-    audit: RwLock<Vec<KmsAuditEvent>>,
+    audit: RwLock<AuditLog>,
 }
 
 /// An audit event emitted by the KMS (feeds the platform audit trail).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum KmsAuditEvent {
     /// A key was created.
     Created(KeyId),
@@ -96,13 +98,29 @@ pub enum KmsAuditEvent {
     Shredded(KeyId),
 }
 
+/// The KMS audit log. Each entry is a pointer to the log's one copy of
+/// an equal event, so a repeated key use costs 8 bytes and no retained
+/// allocation.
+#[derive(Default)]
+struct AuditLog {
+    entries: Vec<Arc<KmsAuditEvent>>,
+    events: Interner<KmsAuditEvent>,
+}
+
+impl AuditLog {
+    fn push(&mut self, event: KmsAuditEvent) {
+        let shared = self.events.intern(&event, |e| Arc::new(e.clone()));
+        self.entries.push(shared);
+    }
+}
+
 impl KeyManagementSystem {
     /// Creates a KMS with a fresh random master key.
     pub fn new<R: Rng + ?Sized>(rng: &mut R) -> Self {
         KeyManagementSystem {
             master: SecretKey::generate(rng),
             keys: RwLock::new(HashMap::new()),
-            audit: RwLock::new(Vec::new()),
+            audit: RwLock::new(AuditLog::default()),
         }
     }
 
@@ -233,7 +251,17 @@ impl KeyManagementSystem {
 
     /// Snapshot of the audit log.
     pub fn audit_log(&self) -> Vec<KmsAuditEvent> {
-        self.audit.read().clone()
+        self.audit
+            .read()
+            .entries
+            .iter()
+            .map(|event| KmsAuditEvent::clone(event))
+            .collect()
+    }
+
+    /// How many events the audit log holds, without copying it.
+    pub fn audit_len(&self) -> usize {
+        self.audit.read().entries.len()
     }
 
     /// Snapshot of the live key table (metadata only — wrapped key material
@@ -381,5 +409,32 @@ mod tests {
         let log = kms.audit_log();
         assert!(log.contains(&KmsAuditEvent::Created(k)));
         assert!(log.contains(&KmsAuditEvent::Used(k, svc("a"))));
+    }
+
+    #[test]
+    fn audit_log_replays_every_event_in_order() {
+        let mut rng = hc_common::rng::seeded(9);
+        let kms = KeyManagementSystem::new(&mut rng);
+        let k = kms.create_key(&mut rng, &[svc("a")]);
+        let sealed = kms.seal(&svc("a"), k, b"x", b"").unwrap();
+        let _ = kms.open(&svc("b"), k, &sealed, b"");
+        let _ = kms.open(&svc("a"), k, &sealed, b"").unwrap();
+        kms.rotate(&mut rng, k).unwrap();
+        kms.shred(k);
+        let log = kms.audit_log();
+        assert_eq!(
+            log,
+            vec![
+                KmsAuditEvent::Created(k),
+                KmsAuditEvent::Used(k, svc("a")),
+                KmsAuditEvent::Denied(k, svc("b")),
+                KmsAuditEvent::Used(k, svc("a")),
+                KmsAuditEvent::Rotated(k, 2),
+                KmsAuditEvent::Shredded(k),
+            ]
+        );
+        assert_eq!(kms.audit_len(), log.len());
+        // The two equal uses share one stored event.
+        assert_eq!(kms.audit.read().events.len(), log.len() - 1);
     }
 }

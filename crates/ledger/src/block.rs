@@ -1,5 +1,7 @@
 //! Transactions and blocks.
 
+use std::sync::Arc;
+
 use hc_common::clock::SimInstant;
 use hc_common::id::TxId;
 use hc_crypto::merkle::MerkleTree;
@@ -7,19 +9,23 @@ use hc_crypto::sha256::{self, Digest};
 use serde::{Deserialize, Serialize};
 
 /// A ledger transaction: an event record, never PHI itself.
+///
+/// The string fields are shared: a [`crate::chain::Ledger`] interns them
+/// on append, so every committed transaction on a channel points at one
+/// copy of its channel, kind and submitter names.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct Transaction {
     /// Transaction id.
     pub id: TxId,
     /// The channel (sub-network) this transaction belongs to: the paper's
     /// provenance / malware / privacy blockchain networks.
-    pub channel: String,
+    pub channel: Arc<str>,
     /// Event kind tag (interpreted by channel policies).
-    pub kind: String,
+    pub kind: Arc<str>,
     /// Serialized event payload (a handle + hash + metadata — no PHI).
     pub payload: Vec<u8>,
     /// The submitting party (peer or service name).
-    pub submitter: String,
+    pub submitter: Arc<str>,
     /// Submission time.
     pub timestamp: SimInstant,
 }
@@ -39,6 +45,12 @@ impl Transaction {
         ])
     }
 }
+
+/// The fixed per-transaction charge of [`Block::body_bytes`]: the
+/// footprint of a transaction whose strings are owned, not shared. It is
+/// a constant of the accounting, not `size_of::<Transaction>()`, so
+/// retained and pruned byte counts do not move with the struct layout.
+const TX_FIXED_BYTES: usize = 128;
 
 /// The consensus-covered header fields of a [`Block`]: everything needed
 /// to verify hash-chain linkage and serve Merkle proofs after the block's
@@ -163,13 +175,14 @@ impl Block {
         }
     }
 
-    /// Approximate in-memory bytes held by the transaction body — the
-    /// storage that checkpoint pruning reclaims.
+    /// Accounted bytes of the transaction body — the storage that
+    /// checkpoint pruning reclaims: a fixed 128 bytes per transaction
+    /// plus its string and payload lengths.
     pub fn body_bytes(&self) -> u64 {
         self.transactions
             .iter()
             .map(|t| {
-                (std::mem::size_of::<Transaction>()
+                (TX_FIXED_BYTES
                     + t.channel.len()
                     + t.kind.len()
                     + t.payload.len()

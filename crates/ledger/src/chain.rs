@@ -16,8 +16,10 @@
 //! ([`PrefixProof`]) — no chain replay needed.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use hc_common::clock::{SimClock, SimInstant};
+use hc_common::intern::Interner;
 use hc_crypto::merkle::{self, IndexedProof, MerkleTree};
 use hc_crypto::sha256::Digest;
 use hc_telemetry::{Counter, Gauge, Registry};
@@ -298,18 +300,23 @@ pub struct StreamOutcome {
 pub struct Ledger {
     /// Retained (un-pruned) blocks; `blocks[0].height == pruned_below`.
     blocks: Vec<Block>,
-    /// Headers of pruned blocks, by height `0..pruned_below`.
+    /// Headers of pruned blocks, by height `0..pruned_below`. With
+    /// `blocks` they hold every height's hash, the leaves checkpoint
+    /// interval trees are built from.
     pruned_headers: Vec<BlockHeader>,
-    /// Block hashes for every height ever committed (32 B each) — the
-    /// leaves checkpoint interval trees are built from.
-    block_hashes: Vec<Digest>,
     policies: Vec<Box<dyn ChainPolicy>>,
     engine: PbftCluster,
     clock: SimClock,
     ckpt_config: Option<CheckpointConfig>,
     checkpoints: Vec<Checkpoint>,
     interval_roots: Vec<Digest>,
+    /// `Σ body_bytes()` over `blocks`, kept by append and prune so the
+    /// gauge costs O(1) per commit rather than a walk of the chain.
+    retained_body_bytes: u64,
     pruned_body_bytes: u64,
+    /// Every channel, kind and submitter name appended so far; committed
+    /// transactions share these copies.
+    names: Interner<str>,
     instruments: Option<CheckpointInstruments>,
 }
 
@@ -331,14 +338,15 @@ impl Ledger {
         Ledger {
             blocks: Vec::new(),
             pruned_headers: Vec::new(),
-            block_hashes: Vec::new(),
             policies: Vec::new(),
             engine,
             clock,
             ckpt_config: None,
             checkpoints: Vec::new(),
             interval_roots: Vec::new(),
+            retained_body_bytes: 0,
             pruned_body_bytes: 0,
+            names: Interner::default(),
             instruments: None,
         }
     }
@@ -396,9 +404,10 @@ impl Ledger {
         self.checkpoints.last()
     }
 
-    /// Bytes of transaction body currently retained.
+    /// Bytes of transaction body currently retained: the sum of
+    /// [`Block::body_bytes`] over [`Ledger::blocks`].
     pub fn retained_body_bytes(&self) -> u64 {
-        self.blocks.iter().map(Block::body_bytes).sum()
+        self.retained_body_bytes
     }
 
     /// Bytes of transaction body reclaimed by pruning so far.
@@ -407,6 +416,8 @@ impl Ledger {
     }
 
     /// Mutable block access — exists solely for tamper-injection tests.
+    /// Edits made through it bypass the running
+    /// [`Ledger::retained_body_bytes`] count.
     #[doc(hidden)]
     pub fn blocks_mut(&mut self) -> &mut Vec<Block> {
         &mut self.blocks
@@ -437,7 +448,7 @@ impl Ledger {
         }
         for tx in transactions {
             for policy in policies {
-                if policy.channel() == tx.channel {
+                if policy.channel() == &*tx.channel {
                     policy
                         .validate(tx)
                         .map_err(|reason| LedgerError::PolicyViolation {
@@ -450,21 +461,40 @@ impl Ledger {
         Ok(())
     }
 
+    /// Points `name` at the ledger's shared copy, adopting it as that
+    /// copy when the name is new.
+    fn intern(names: &mut Interner<str>, name: &mut Arc<str>) {
+        *name = names.intern(name, |_| Arc::clone(name));
+    }
+
     /// Appends a block whose root was already computed, then seals any
-    /// due checkpoint.
-    fn append_block(&mut self, merkle_root: Digest, transactions: Vec<Transaction>) {
+    /// due checkpoint. Interns each transaction's names and moves its
+    /// payload into an exact-size buffer: neither changes a hash or an
+    /// emitted byte.
+    fn append_block(&mut self, merkle_root: Digest, mut transactions: Vec<Transaction>) {
+        for tx in &mut transactions {
+            Self::intern(&mut self.names, &mut tx.channel);
+            Self::intern(&mut self.names, &mut tx.kind);
+            Self::intern(&mut self.names, &mut tx.submitter);
+            // A copy, not `shrink_to_fit`: shrinking in place can leave the
+            // allocator's block at the encoder's grown size.
+            if tx.payload.capacity() > tx.payload.len() {
+                tx.payload = tx.payload.to_vec();
+            }
+        }
         let prev_hash = self
-            .block_hashes
+            .blocks
             .last()
-            .copied()
+            .map(|b| b.hash)
+            .or_else(|| self.pruned_headers.last().map(|h| h.hash))
             .unwrap_or(Digest::ZERO);
         let stamp = Block::stamp(&transactions);
         let block = Block::from_parts(self.height(), prev_hash, merkle_root, stamp, transactions);
-        self.block_hashes.push(block.hash);
+        self.retained_body_bytes += block.body_bytes();
         self.blocks.push(block);
         self.maybe_seal_checkpoint();
         if let Some(inst) = &self.instruments {
-            inst.retained_bytes.set(self.retained_body_bytes() as i64);
+            inst.retained_bytes.set(self.retained_body_bytes as i64);
         }
     }
 
@@ -473,13 +503,9 @@ impl Ledger {
         let Some(config) = self.ckpt_config else { return };
         while (self.checkpoints.len() as u64 + 1) * config.interval <= self.height() {
             let index = self.checkpoints.len() as u64;
-            let start = (index * config.interval) as usize;
-            let end = start + config.interval as usize;
-            let leaves: Vec<Digest> = self.block_hashes[start..end] // hc-lint: allow(panic-index)
-                .iter()
-                .map(|h| merkle::leaf_hash(h.as_bytes()))
-                .collect();
-            let interval_root = MerkleTree::from_leaf_hashes(leaves).root();
+            let start = index * config.interval;
+            let end = start + config.interval;
+            let interval_root = MerkleTree::from_leaf_hashes(self.interval_leaves(start, end)).root();
             let prev_state = self
                 .checkpoints
                 .last()
@@ -488,7 +514,7 @@ impl Ledger {
             self.interval_roots.push(interval_root);
             self.checkpoints.push(Checkpoint {
                 index,
-                end_height: end as u64,
+                end_height: end,
                 interval_root,
                 state_root: merkle::node_hash(&prev_state, &interval_root),
                 sealed_at: self.clock.now(),
@@ -516,25 +542,31 @@ impl Ledger {
             bytes += block.body_bytes();
             self.pruned_headers.push(block.header());
         }
+        self.retained_body_bytes -= bytes;
         self.pruned_body_bytes += bytes;
         if let Some(inst) = &self.instruments {
             inst.pruned_blocks.add(count);
             inst.pruned_bytes.add(bytes);
-            inst.retained_bytes.set(self.retained_body_bytes() as i64);
+            inst.retained_bytes.set(self.retained_body_bytes as i64);
             inst.pruned_below.set(self.pruned_below() as i64);
         }
         count
     }
 
     fn header_at(&self, height: u64) -> Result<BlockHeader, ProofError> {
-        if height >= self.height() {
-            return Err(ProofError::UnknownBlock { height });
+        match height.checked_sub(self.pruned_below()) {
+            None => self.pruned_headers.get(height as usize).copied(),
+            Some(i) => self.blocks.get(i as usize).map(Block::header),
         }
-        if height < self.pruned_below() {
-            Ok(self.pruned_headers[height as usize]) // hc-lint: allow(panic-index)
-        } else {
-            Ok(self.blocks[(height - self.pruned_below()) as usize].header()) // hc-lint: allow(panic-index)
-        }
+        .ok_or(ProofError::UnknownBlock { height })
+    }
+
+    /// Leaf hashes of the interval tree over heights `start..end`.
+    fn interval_leaves(&self, start: u64, end: u64) -> Vec<Digest> {
+        (start..end)
+            .filter_map(|height| self.header_at(height).ok())
+            .map(|header| merkle::leaf_hash(header.hash.as_bytes()))
+            .collect()
     }
 
     /// Builds a compact proof that the block at `height` is committed
@@ -554,14 +586,9 @@ impl Ledger {
             return Err(ProofError::NotCovered { height });
         }
         let interval_index = height / config.interval;
-        let start = (interval_index * config.interval) as usize;
-        let end = start + config.interval as usize;
-        let leaves: Vec<Digest> = self.block_hashes[start..end] // hc-lint: allow(panic-index)
-            .iter()
-            .map(|h| merkle::leaf_hash(h.as_bytes()))
-            .collect();
-        let tree = MerkleTree::from_leaf_hashes(leaves);
-        let intra = tree.prove_indexed((height as usize) - start);
+        let start = interval_index * config.interval;
+        let tree = MerkleTree::from_leaf_hashes(self.interval_leaves(start, start + config.interval));
+        let intra = tree.prove_indexed((height - start) as usize);
         let prev_state = if interval_index == 0 {
             Digest::ZERO
         } else {
@@ -782,7 +809,7 @@ impl Ledger {
         self.blocks
             .iter()
             .flat_map(|b| b.transactions.iter())
-            .filter(|t| t.channel == channel)
+            .filter(|t| &*t.channel == channel)
             .collect()
     }
 
@@ -799,7 +826,7 @@ impl Ledger {
     pub fn channel_summary(&self) -> HashMap<String, usize> {
         let mut summary = HashMap::new();
         for tx in self.blocks.iter().flat_map(|b| b.transactions.iter()) {
-            *summary.entry(tx.channel.clone()).or_insert(0) += 1;
+            *summary.entry(tx.channel.to_string()).or_insert(0) += 1;
         }
         summary
     }

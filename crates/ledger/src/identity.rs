@@ -156,7 +156,7 @@ impl ChainPolicy for IdentityPolicy {
     }
 
     fn validate(&self, tx: &Transaction) -> Result<(), String> {
-        if !["did-registered", "did-rotated", "did-revoked"].contains(&tx.kind.as_str()) {
+        if !["did-registered", "did-rotated", "did-revoked"].contains(&&*tx.kind) {
             return Err(format!("unknown identity kind `{}`", tx.kind));
         }
         if tx.payload.len() < 68 {
@@ -243,7 +243,7 @@ impl DidRegistry {
             kind: kind.into(),
             payload: serde_json::to_vec(event)
                 .map_err(|e| DidError::Ledger(LedgerError::Encoding(e.to_string())))?,
-            submitter: event.did.to_string(),
+            submitter: event.did.to_string().into(),
             timestamp: self.clock.now(),
         };
         self.ledger.submit(vec![tx])?;
@@ -349,7 +349,7 @@ impl DidRegistry {
             if event.did != did {
                 continue;
             }
-            match tx.kind.as_str() {
+            match &*tx.kind {
                 "did-registered" => {
                     doc = Some(DidDocument {
                         did,

@@ -57,7 +57,7 @@ impl ChainPolicy for ProvenancePolicy {
         if tx.payload.is_empty() {
             return Err("provenance event has empty payload".to_owned());
         }
-        if !PROVENANCE_KINDS.contains(&tx.kind.as_str()) {
+        if !PROVENANCE_KINDS.contains(&&*tx.kind) {
             return Err(format!("unknown provenance kind `{}`", tx.kind));
         }
         Ok(())
@@ -79,7 +79,7 @@ impl ChainPolicy for MalwarePolicy {
     }
 
     fn validate(&self, tx: &Transaction) -> Result<(), String> {
-        if tx.kind != "malware-detected" && tx.kind != "record-cleaned" {
+        if &*tx.kind != "malware-detected" && &*tx.kind != "record-cleaned" {
             return Err(format!("unknown malware kind `{}`", tx.kind));
         }
         let text = String::from_utf8_lossy(&tx.payload);
@@ -111,7 +111,7 @@ impl ChainPolicy for PrivacyPolicy {
     }
 
     fn validate(&self, tx: &Transaction) -> Result<(), String> {
-        if tx.kind != "privacy-scored" {
+        if &*tx.kind != "privacy-scored" {
             return Err(format!("unknown privacy kind `{}`", tx.kind));
         }
         let text = String::from_utf8_lossy(&tx.payload);

@@ -78,10 +78,10 @@ impl ProvenanceEvent {
     pub fn to_transaction(&self, id: TxId, clock: &SimClock) -> Result<Transaction, serde_json::Error> {
         Ok(Transaction {
             id,
-            channel: "provenance".to_owned(),
-            kind: self.action.kind().to_owned(),
+            channel: "provenance".into(),
+            kind: self.action.kind().into(),
             payload: serde_json::to_vec(self)?,
-            submitter: self.actor.clone(),
+            submitter: self.actor.as_str().into(),
             timestamp: clock.now(),
         })
     }
@@ -428,7 +428,7 @@ mod tests {
         let clock = SimClock::new();
         let e = event(7, ProvenanceAction::Anonymized);
         let tx = e.to_transaction(TxId::from_raw(1), &clock).expect("event serializes");
-        assert_eq!(tx.kind, "anonymized");
+        assert_eq!(&*tx.kind, "anonymized");
         assert_eq!(ProvenanceEvent::from_transaction(&tx).unwrap(), e);
     }
 }

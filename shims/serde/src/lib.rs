@@ -195,6 +195,21 @@ impl Serialize for str {
     }
 }
 
+impl Serialize for std::sync::Arc<str> {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+}
+
+impl Deserialize for std::sync::Arc<str> {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        match value {
+            Value::Str(s) => Ok(s.as_str().into()),
+            other => Err(DeError::msg(format!("expected string got {other:?}"))),
+        }
+    }
+}
+
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
@@ -430,6 +445,14 @@ mod tests {
         let mut map = BTreeMap::new();
         map.insert("k".to_string(), 1.5f64);
         assert_eq!(BTreeMap::<String, f64>::from_value(&map.to_value()), Ok(map));
+    }
+
+    #[test]
+    fn shared_str_round_trips_as_a_string() {
+        let shared: std::sync::Arc<str> = "provenance".into();
+        assert_eq!(shared.to_value(), "provenance".to_string().to_value());
+        assert_eq!(std::sync::Arc::<str>::from_value(&shared.to_value()), Ok(shared));
+        assert!(std::sync::Arc::<str>::from_value(&Value::Uint(1)).is_err());
     }
 
     #[test]

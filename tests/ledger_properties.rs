@@ -1,6 +1,8 @@
 //! Property-based tests on the provenance ledger: any committed chain
 //! verifies; any single-bit tamper is detected; consensus tolerates
-//! exactly f faults; window 1 matches closed-form PBFT accounting; and a
+//! exactly f faults; window 1 matches closed-form PBFT accounting; the
+//! running retained-byte count matches a recount through any append,
+//! checkpoint and prune sequence; and a
 //! seeded fault soak drives a pipelined window through injected crashes
 //! and partitions without divergence (`HC_SOAK_SEED` rotates the
 //! schedule; see CI).
@@ -8,12 +10,13 @@
 use hc_common::clock::{SimClock, SimDuration, SimInstant};
 use hc_common::fault::{FaultInjector, FaultKind, FaultSpec};
 use hc_common::id::TxId;
-use hc_ledger::block::Transaction;
-use hc_ledger::chain::{ChainStatus, Ledger};
+use hc_ledger::block::{Block, Transaction};
+use hc_ledger::chain::{ChainStatus, CheckpointConfig, Ledger};
 use hc_ledger::consensus::{
     ConsensusError, PbftCluster, FAULT_CONSENSUS_CRASH, FAULT_CONSENSUS_PARTITION,
 };
 use hc_ledger::policy::ProvenancePolicy;
+use hc_telemetry::Registry;
 use proptest::prelude::*;
 
 fn tx(i: u128, kind_idx: usize, payload: &[u8]) -> Transaction {
@@ -224,6 +227,75 @@ proptest! {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// One step of a ledger's life for the retained-bytes invariant, decoded
+/// from a drawn `(opcode, txs, payload)` triple.
+#[derive(Clone, Copy, Debug)]
+enum RetentionStep {
+    /// Commit one block of `txs` transactions with `payload`-byte bodies.
+    Append { txs: usize, payload: usize },
+    /// Turn checkpoint sealing on (idempotent).
+    Checkpoint,
+    Prune,
+}
+
+impl RetentionStep {
+    fn decode((op, txs, payload): (u8, usize, usize)) -> Self {
+        match op {
+            0 => RetentionStep::Checkpoint,
+            1 => RetentionStep::Prune,
+            _ => RetentionStep::Append { txs, payload },
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `retained_body_bytes()` is a running count kept by append and
+    /// prune. After every step it equals the recount over the retained
+    /// blocks and, on an instrumented ledger, the
+    /// `ledger.ckpt.retained_bytes` gauge.
+    #[test]
+    fn retained_bytes_count_matches_recount(
+        instrumented in any::<bool>(),
+        interval in 1u64..5,
+        retain in 0u64..6,
+        steps in proptest::collection::vec((0u8..6, 1usize..5, 0usize..64), 1..64),
+    ) {
+        let registry = Registry::new();
+        let gauge = registry.gauge("ledger.ckpt.retained_bytes");
+        let mut l = ledger(4);
+        if instrumented {
+            l.instrument(&registry);
+        }
+        let mut next = 0u128;
+        for step in steps {
+            match RetentionStep::decode(step) {
+                RetentionStep::Append { txs, payload } => {
+                    let batch = (0..txs)
+                        .map(|k| {
+                            next += 1;
+                            tx(next, k, &vec![b'x'; payload])
+                        })
+                        .collect();
+                    l.submit(batch).unwrap();
+                }
+                RetentionStep::Checkpoint => {
+                    l.enable_checkpoints(CheckpointConfig::every(interval).retaining(retain));
+                }
+                RetentionStep::Prune => {
+                    l.prune();
+                }
+            }
+            let recount: u64 = l.blocks().iter().map(Block::body_bytes).sum();
+            prop_assert_eq!(l.retained_body_bytes(), recount);
+            if instrumented {
+                prop_assert_eq!(gauge.get(), recount as i64);
             }
         }
     }

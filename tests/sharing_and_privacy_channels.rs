@@ -77,7 +77,7 @@ fn consent_events_are_anchored_before_data() {
         .ledger()
         .channel_transactions("provenance")
         .iter()
-        .map(|t| t.kind.clone())
+        .map(|t| t.kind.to_string())
         .collect();
     let consent_pos = kinds.iter().position(|k| k == "consent-granted").unwrap();
     let ingest_pos = kinds.iter().position(|k| k == "ingested").unwrap();
