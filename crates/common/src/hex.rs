@@ -35,15 +35,21 @@ impl std::error::Error for DecodeHexError {}
 /// assert_eq!(hc_common::hex::encode(&[0xde, 0xad]), "dead");
 /// ```
 pub fn encode(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
+    encode_into(bytes, &mut out);
+    out
+}
+
+/// Appends the lowercase hexadecimal encoding of `bytes` to `out`.
+pub fn encode_into(bytes: &[u8], out: &mut String) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(bytes.len() * 2);
     for &b in bytes {
         for nibble in [b >> 4, b & 0xf] {
             let digit = DIGITS.get(usize::from(nibble)).copied().unwrap_or(b'0');
             out.push(char::from(digit));
         }
     }
-    out
 }
 
 /// Decodes a hexadecimal string (either case) into bytes.

@@ -6,10 +6,9 @@
 //! record's routing metadata) and the ciphertext, so any tampering —
 //! including replaying a ciphertext under different metadata — is detected.
 
-use std::collections::BTreeMap;
-
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::__private::{decode_field, finish_field};
+use serde::{DeError, Deserialize, Emitter, Parser, Serialize};
 
 use crate::chacha20::{self, Nonce};
 use crate::hmac;
@@ -74,15 +73,15 @@ impl Sealed {
 }
 
 impl Serialize for Sealed {
-    fn to_value(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert(
-            "ciphertext".to_string(),
-            Value::Str(hc_common::hex::encode(&self.ciphertext)),
-        );
-        map.insert("nonce".to_string(), self.nonce.to_value());
-        map.insert("tag".to_string(), self.tag.to_value());
-        Value::Object(map)
+    fn serialize(&self, e: &mut Emitter) {
+        e.begin_object();
+        e.key("ciphertext");
+        e.str_unescaped(|out| hc_common::hex::encode_into(&self.ciphertext, out));
+        e.key("nonce");
+        self.nonce.serialize(e);
+        e.key("tag");
+        self.tag.serialize(e);
+        e.end_object();
     }
 }
 
@@ -91,27 +90,25 @@ impl Deserialize for Sealed {
     /// [`Serialize`] writes — a missing or non-string `ciphertext`, odd
     /// length, a non-hex digit, the per-byte number-array form — is a
     /// [`DeError`].
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let Value::Object(map) = value else {
-            return Err(DeError::msg("expected Sealed object"));
-        };
-        let field = |key: &str| {
-            map.get(key)
-                .ok_or_else(|| DeError::msg(format!("missing field `{key}`")))
-        };
-        let ciphertext = match field("ciphertext")? {
-            Value::Str(hex) => hc_common::hex::decode(hex)
-                .map_err(|e| DeError::msg(format!("field `ciphertext`: {e}")))?,
-            _ => return Err(DeError::msg("field `ciphertext`: expected a hex string")),
-        };
-        let nonce = Nonce::from_value(field("nonce")?)
-            .map_err(|e| DeError::msg(format!("field `nonce`: {e}")))?;
-        let tag = Digest::from_value(field("tag")?)
-            .map_err(|e| DeError::msg(format!("field `tag`: {e}")))?;
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        let (mut ciphertext, mut nonce, mut tag) = (None, None, None);
+        p.begin_object("Sealed object")?;
+        while let Some(key) = p.next_key()? {
+            match &*key {
+                "ciphertext" => {
+                    let hex = p.str().map_err(|_| DeError::msg("field `ciphertext`: expected a hex string"))?;
+                    let bytes = hc_common::hex::decode(&hex);
+                    ciphertext = Some(bytes.map_err(|e| DeError::msg(format!("field `ciphertext`: {e}")))?);
+                }
+                "nonce" => nonce = Some(decode_field(p, "nonce")?),
+                "tag" => tag = Some(decode_field(p, "tag")?),
+                _ => p.skip()?,
+            }
+        }
         Ok(Sealed {
-            nonce,
-            ciphertext,
-            tag,
+            ciphertext: finish_field(ciphertext, "ciphertext")?,
+            nonce: finish_field(nonce, "nonce")?,
+            tag: finish_field(tag, "tag")?,
         })
     }
 }

@@ -1,44 +1,27 @@
-//! A dependency-free shim of the `serde` facade.
+//! A dependency-free shim of the `serde` facade, fused with JSON.
 //!
-//! Instead of upstream's visitor-based serializer/deserializer pair, this
-//! shim routes everything through a JSON-shaped [`Value`] tree:
-//! [`Serialize`] renders a type into a `Value` and [`Deserialize`]
-//! rebuilds the type from one. The companion `serde_json` shim then only
-//! has to emit and parse `Value`s. This supports exactly what the
-//! workspace relies on — derived impls over structs/enums of primitives,
-//! strings, collections and nested serde types, including the
-//! internally-tagged `#[serde(tag = "...")]` enum form — at a fraction of
-//! the machinery.
+//! Upstream serde separates data structures from formats with a
+//! visitor-based serializer/deserializer pair. The workspace only speaks
+//! JSON, so here [`Serialize`] writes a value straight into an
+//! [`Emitter`] and [`Deserialize`] reads one straight out of a
+//! [`Parser`], in one pass with no intermediate document; module
+//! [`json`] owns the text format and `serde_json` is only the
+//! string/bytes facade. This covers exactly what the workspace derives —
+//! structs/enums of primitives, strings, collections and nested serde
+//! types, including the internally-tagged `#[serde(tag = "...")]` form.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write};
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// A JSON-shaped document tree: the interchange format between
-/// [`Serialize`], [`Deserialize`] and the `serde_json` shim.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// JSON `null`.
-    Null,
-    /// JSON `true` / `false`.
-    Bool(bool),
-    /// A non-negative integer (canonical form for all unsigned values
-    /// and for signed values ≥ 0).
-    Uint(u128),
-    /// A strictly negative integer.
-    Int(i128),
-    /// A floating-point number.
-    Float(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object with string keys.
-    Object(BTreeMap<String, Value>),
-}
+pub mod json;
 
-/// Error produced when a [`Value`] does not match the expected shape.
+use json::Number;
+pub use json::{Emitter, Parser};
+
+/// Error produced when the input is not well-formed JSON or does not
+/// match the expected shape.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeError {
     msg: String,
@@ -59,99 +42,64 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types renderable into a [`Value`].
+/// Types writable as JSON.
 pub trait Serialize {
-    /// Renders `self` as a document tree.
-    fn to_value(&self) -> Value;
+    /// Writes `self` as one JSON value.
+    fn serialize(&self, e: &mut Emitter);
 }
 
-/// Types reconstructible from a [`Value`].
+/// Types readable from JSON.
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a document tree.
-    fn from_value(value: &Value) -> Result<Self, DeError>;
+    /// Reads one JSON value as `Self`.
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError>;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, e: &mut Emitter) {
+        (**self).serialize(e);
     }
 }
 
-macro_rules! impl_serde_unsigned {
+macro_rules! impl_serde_integer {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Uint(*self as u128)
+            fn serialize(&self, e: &mut Emitter) {
+                // Writing into a `String` cannot fail.
+                write!(e.out, "{self}").unwrap_or_default();
             }
         }
 
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                match value {
-                    Value::Uint(u) => <$t>::try_from(*u)
-                        .map_err(|_| DeError::msg(format!("{u} out of range for {}", stringify!($t)))),
-                    other => Err(DeError::msg(format!(
-                        "expected {} got {other:?}", stringify!($t)
-                    ))),
-                }
-            }
-        }
-    )*};
-}
-
-impl_serde_unsigned!(u8, u16, u32, u64, u128, usize);
-
-macro_rules! impl_serde_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                if *self >= 0 {
-                    Value::Uint(*self as u128)
-                } else {
-                    Value::Int(*self as i128)
-                }
-            }
-        }
-
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let wide: i128 = match value {
-                    Value::Uint(u) => i128::try_from(*u)
-                        .map_err(|_| DeError::msg(format!("{u} out of range for {}", stringify!($t))))?,
-                    Value::Int(i) => *i,
-                    other => {
-                        return Err(DeError::msg(format!(
-                            "expected {} got {other:?}", stringify!($t)
-                        )))
-                    }
+            fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+                let n = p.number(stringify!($t))?;
+                let fits = match n {
+                    Number::Uint(u) => <$t>::try_from(u).ok(),
+                    Number::Int(i) => <$t>::try_from(i).ok(),
+                    Number::Float(_) => None,
                 };
-                <$t>::try_from(wide)
-                    .map_err(|_| DeError::msg(format!("{wide} out of range for {}", stringify!($t))))
+                fits.ok_or_else(|| DeError::msg(format!("expected {} got {n:?}", stringify!($t))))
             }
         }
     )*};
 }
 
-impl_serde_signed!(i8, i16, i32, i64, i128, isize);
+impl_serde_integer!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
 
 macro_rules! impl_serde_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
+            fn serialize(&self, e: &mut Emitter) {
+                e.float(f64::from(*self));
             }
         }
 
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                match value {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::Uint(u) => Ok(*u as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    other => Err(DeError::msg(format!(
-                        "expected {} got {other:?}", stringify!($t)
-                    ))),
-                }
+            fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+                Ok(match p.number(stringify!($t))? {
+                    Number::Float(f) => f as $t,
+                    Number::Uint(u) => u as $t,
+                    Number::Int(i) => i as $t,
+                })
             }
         }
     )*};
@@ -160,256 +108,222 @@ macro_rules! impl_serde_float {
 impl_serde_float!(f32, f64);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, e: &mut Emitter) {
+        e.out.push_str(if *self { "true" } else { "false" });
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::msg(format!("expected bool got {other:?}"))),
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        match p.peek()? {
+            b't' => p.literal("true").map(|()| true),
+            b'f' => p.literal("false").map(|()| false),
+            _ => Err(p.unexpected("bool")),
         }
     }
 }
 
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
+macro_rules! impl_serialize_str {
+    ($($t:ty),*) => {$(
+        impl Serialize for $t {
+            fn serialize(&self, e: &mut Emitter) {
+                e.str(self);
+            }
+        }
+    )*};
 }
+
+impl_serialize_str!(str, String, std::sync::Arc<str>);
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError::msg(format!("expected string got {other:?}"))),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for std::sync::Arc<str> {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        p.str().map(String::from)
     }
 }
 
 impl Deserialize for std::sync::Arc<str> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) => Ok(s.as_str().into()),
-            other => Err(DeError::msg(format!("expected string got {other:?}"))),
-        }
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        p.str().map(|s| s.as_ref().into())
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, e: &mut Emitter) {
+        e.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(DeError::msg(format!("expected single-char string got {other:?}"))),
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        let s = p.str()?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(DeError::msg(format!("expected single-char string got {s:?}"))),
         }
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, e: &mut Emitter) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.serialize(e),
+            None => e.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        if p.peek()? == b'n' {
+            p.literal("null").map(|()| None)
+        } else {
+            T::deserialize(p).map(Some)
         }
+    }
+}
+
+fn serialize_seq<'a, T: Serialize + 'a>(items: impl IntoIterator<Item = &'a T>, e: &mut Emitter) {
+    e.begin_array();
+    for item in items {
+        e.element();
+        item.serialize(e);
+    }
+    e.end_array();
+}
+
+/// Reads an array of any length into `C`.
+fn deserialize_seq<T: Deserialize, C: FromIterator<T>>(p: &mut Parser<'_>) -> Result<C, DeError> {
+    p.begin_array("array")?;
+    std::iter::from_fn(|| match p.next_element() {
+        Ok(true) => Some(T::deserialize(p)),
+        Ok(false) => None,
+        Err(e) => Some(Err(e)),
+    })
+    .collect()
+}
+
+impl<T: Serialize> Serialize for [T] {
+    fn serialize(&self, e: &mut Emitter) {
+        serialize_seq(self, e);
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, e: &mut Emitter) {
+        serialize_seq(self, e);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError::msg(format!("expected array got {other:?}"))),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        deserialize_seq(p)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, e: &mut Emitter) {
+        serialize_seq(self, e);
     }
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let items = match value {
-            Value::Array(items) => items,
-            other => return Err(DeError::msg(format!("expected array got {other:?}"))),
-        };
-        if items.len() != N {
-            return Err(DeError::msg(format!(
-                "expected array of {N} elements, got {}",
-                items.len()
-            )));
-        }
-        let parsed: Vec<T> = items.iter().map(T::from_value).collect::<Result<_, _>>()?;
-        parsed
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        p.begin_array("array")?;
+        let items = (0..N)
+            .map(|_| p.element("array", N))
+            .collect::<Result<Vec<T>, _>>()?;
+        p.end_array("array", N)?;
+        items
             .try_into()
             .map_err(|_| DeError::msg("array length changed during conversion"))
     }
 }
 
+impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
+    fn serialize(&self, e: &mut Emitter) {
+        serialize_seq(self, e);
+    }
+}
+
+impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        deserialize_seq(p)
+    }
+}
+
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+    fn serialize(&self, e: &mut Emitter) {
+        e.begin_object();
+        for (k, v) in self {
+            e.key(k);
+            v.serialize(e);
+        }
+        e.end_object();
     }
 }
 
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Object(map) => map
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(DeError::msg(format!("expected object got {other:?}"))),
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        p.begin_object("object")?;
+        let mut map = BTreeMap::new();
+        while let Some(k) = p.next_key()? {
+            map.insert(k.into_owned(), V::deserialize(p)?);
         }
-    }
-}
-
-impl<T: Serialize + Ord> Serialize for std::collections::BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError::msg(format!("expected array got {other:?}"))),
-        }
+        Ok(map)
     }
 }
 
 macro_rules! impl_serde_tuple {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
+    ($($len:literal: ($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize(&self, e: &mut Emitter) {
+                e.begin_array();
+                $(
+                    e.element();
+                    self.$idx.serialize(e);
+                )+
+                e.end_array();
             }
         }
 
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let items = match value {
-                    Value::Array(items) => items,
-                    other => return Err(DeError::msg(format!("expected tuple array got {other:?}"))),
-                };
-                let expected = [$($idx),+].len();
-                if items.len() != expected {
-                    return Err(DeError::msg(format!(
-                        "expected {expected}-tuple, got {} elements", items.len()
-                    )));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
+            fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+                p.begin_array("tuple")?;
+                let tuple = ($(p.element::<$name>("tuple", $len)?,)+);
+                p.end_array("tuple", $len)?;
+                Ok(tuple)
             }
         }
     )*};
 }
 
 impl_serde_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
+    1: (A: 0)
+    2: (A: 0, B: 1)
+    3: (A: 0, B: 1, C: 2)
+    4: (A: 0, B: 1, C: 2, D: 3)
 }
 
-/// Support helpers invoked by the generated derive code. Not a stable
-/// API — matching upstream's convention of an out-of-contract module.
+/// Support helpers invoked by the generated derive code and by the
+/// workspace's hand-written impls. Not a stable API — matching
+/// upstream's convention of an out-of-contract module.
 pub mod __private {
-    use super::{BTreeMap, DeError, Deserialize, Value};
+    use super::{DeError, Deserialize, Parser};
 
-    /// Interprets `value` as an object, naming `ty` in the error.
-    pub fn as_object<'a>(
-        value: &'a Value,
-        ty: &str,
-    ) -> Result<&'a BTreeMap<String, Value>, DeError> {
-        match value {
-            Value::Object(map) => Ok(map),
-            other => Err(DeError::msg(format!("expected {ty} object, got {other:?}"))),
-        }
+    /// Reads the value of struct field `key`, naming it in the error.
+    pub fn decode_field<T: Deserialize>(p: &mut Parser<'_>, key: &str) -> Result<T, DeError> {
+        T::deserialize(p).map_err(|e| DeError::msg(format!("field `{key}`: {e}")))
     }
 
-    /// Interprets `value` as an array, naming `ty` in the error.
-    pub fn as_array<'a>(value: &'a Value, ty: &str) -> Result<&'a Vec<Value>, DeError> {
-        match value {
-            Value::Array(items) => Ok(items),
-            other => Err(DeError::msg(format!("expected {ty} array, got {other:?}"))),
-        }
-    }
-
-    /// Extracts and deserializes a struct field. A missing key
-    /// deserializes from `Null`, which lets `Option` fields default to
-    /// `None` while non-optional fields report the absence.
-    pub fn field<T: Deserialize>(
-        map: &BTreeMap<String, Value>,
-        key: &str,
-    ) -> Result<T, DeError> {
-        match map.get(key) {
-            Some(v) => T::from_value(v)
-                .map_err(|e| DeError::msg(format!("field `{key}`: {e}"))),
-            None => T::from_value(&Value::Null)
+    /// The value read for field `key`, or, if the key was absent, what
+    /// `T` reads from `null`: `None` for an `Option` field, an error
+    /// naming the field for any other.
+    pub fn finish_field<T: Deserialize>(slot: Option<T>, key: &str) -> Result<T, DeError> {
+        match slot {
+            Some(v) => Ok(v),
+            None => T::deserialize(&mut Parser::new("null"))
                 .map_err(|_| DeError::msg(format!("missing field `{key}`"))),
-        }
-    }
-
-    /// Reads a tag discriminant (a string under `key`) from an object.
-    pub fn tag<'a>(
-        map: &'a BTreeMap<String, Value>,
-        key: &str,
-        ty: &str,
-    ) -> Result<&'a str, DeError> {
-        match map.get(key) {
-            Some(Value::Str(s)) => Ok(s),
-            Some(other) => Err(DeError::msg(format!(
-                "tag `{key}` of {ty} must be a string, got {other:?}"
-            ))),
-            None => Err(DeError::msg(format!("missing tag `{key}` for {ty}"))),
         }
     }
 }
@@ -417,47 +331,87 @@ pub mod __private {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use json::MAX_DEPTH;
+
+    fn to_json<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut e = Emitter::default();
+        value.serialize(&mut e);
+        e.into_string()
+    }
+
+    fn from_json<T: Deserialize>(json: &str) -> Result<T, DeError> {
+        let mut p = Parser::new(json);
+        let value = T::deserialize(&mut p)?;
+        p.finish().map(|()| value)
+    }
+
+    fn round_trip<T: Serialize + Deserialize>(value: &T) -> Result<T, DeError> {
+        from_json(&to_json(value))
+    }
 
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&42u64.to_value()), Ok(42));
-        assert_eq!(i32::from_value(&(-7i32).to_value()), Ok(-7));
-        assert_eq!(bool::from_value(&true.to_value()), Ok(true));
+        assert_eq!(round_trip(&42u64), Ok(42));
+        assert_eq!(round_trip(&-7i32), Ok(-7));
+        assert_eq!(round_trip(&true), Ok(true));
         let giant = u128::MAX - 3;
-        assert_eq!(u128::from_value(&giant.to_value()), Ok(giant));
+        assert_eq!(round_trip(&giant), Ok(giant));
     }
 
     #[test]
     fn option_none_from_missing() {
-        let map = BTreeMap::new();
-        let missing: Option<u8> = __private::field(&map, "absent").unwrap();
+        let missing: Option<u8> = __private::finish_field(None, "absent").unwrap();
         assert_eq!(missing, None);
-        let err = __private::field::<u8>(&map, "absent").unwrap_err();
+        let err = __private::finish_field::<u8>(None, "absent").unwrap_err();
         assert!(format!("{err}").contains("missing field"));
     }
 
     #[test]
     fn containers_round_trip() {
         let v = vec![(1u8, "a".to_string()), (2, "b".to_string())];
-        assert_eq!(Vec::<(u8, String)>::from_value(&v.to_value()), Ok(v));
+        assert_eq!(round_trip(&v), Ok(v));
         let arr = [9u8; 4];
-        assert_eq!(<[u8; 4]>::from_value(&arr.to_value()), Ok(arr));
+        assert_eq!(round_trip(&arr), Ok(arr));
         let mut map = BTreeMap::new();
         map.insert("k".to_string(), 1.5f64);
-        assert_eq!(BTreeMap::<String, f64>::from_value(&map.to_value()), Ok(map));
+        assert_eq!(round_trip(&map), Ok(map));
     }
 
     #[test]
     fn shared_str_round_trips_as_a_string() {
         let shared: std::sync::Arc<str> = "provenance".into();
-        assert_eq!(shared.to_value(), "provenance".to_string().to_value());
-        assert_eq!(std::sync::Arc::<str>::from_value(&shared.to_value()), Ok(shared));
-        assert!(std::sync::Arc::<str>::from_value(&Value::Uint(1)).is_err());
+        assert_eq!(to_json(&shared), to_json(&"provenance".to_string()));
+        assert_eq!(round_trip(&shared), Ok(shared));
+        assert!(from_json::<std::sync::Arc<str>>("1").is_err());
     }
 
     #[test]
     fn wrong_shape_reports_type() {
-        let err = u8::from_value(&Value::Str("no".into())).unwrap_err();
+        let err = from_json::<u8>("\"no\"").unwrap_err();
         assert!(format!("{err}").contains("expected u8"));
+    }
+
+    /// `depth` nested arrays around `0`.
+    fn nested(depth: usize) -> String {
+        format!("{}0{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_bounded_while_decoding_and_skipping() {
+        let deepest = nested(MAX_DEPTH);
+        let mut p = Parser::new(&deepest);
+        assert!(p.skip().is_ok());
+        assert!(p.finish().is_ok());
+        assert_eq!(from_json::<Vec<Vec<u8>>>("[[1],[]]"), Ok(vec![vec![1], vec![]]));
+        let too_deep = nested(MAX_DEPTH + 1);
+        let err = Parser::new(&too_deep).skip().unwrap_err();
+        assert!(format!("{err}").contains("nesting deeper than"));
+        let deep_object = format!(
+            "{}0{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Parser::new(&deep_object).skip().is_err());
+        assert!(from_json::<Vec<Vec<u8>>>(&too_deep).is_err());
     }
 }

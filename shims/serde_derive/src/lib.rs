@@ -38,7 +38,8 @@ enum VariantKind {
     Struct(Vec<String>),
 }
 
-/// Derives `serde::Serialize` (the shim's value-tree rendering).
+/// Derives `serde::Serialize`: writes the item straight into the shim's
+/// JSON `Emitter`.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -47,7 +48,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde shim generated invalid Serialize impl")
 }
 
-/// Derives `serde::Deserialize` (the shim's value-tree rebuilding).
+/// Derives `serde::Deserialize`: reads the item straight out of the
+/// shim's JSON `Parser`.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -60,33 +62,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 
 fn parse_item(input: TokenStream) -> Item {
     let mut iter: TokenIter = input.into_iter().peekable();
-    let mut tag = None;
-
-    // Leading attributes (doc comments arrive as `#[doc = ...]`) and
-    // visibility, capturing `#[serde(tag = "...")]` along the way.
-    loop {
-        match iter.peek() {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                iter.next();
-                if let Some(TokenTree::Group(g)) = iter.next() {
-                    if let Some(t) = serde_tag_attr(&g) {
-                        tag = Some(t);
-                    }
-                }
-            }
-            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                iter.next();
-                if matches!(
-                    iter.peek(),
-                    Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis
-                ) {
-                    iter.next();
-                }
-            }
-            _ => break,
-        }
-    }
-
+    let tag = skip_attrs_and_vis(&mut iter);
     let keyword = expect_ident(&mut iter, "`struct` or `enum`");
     let name = expect_ident(&mut iter, "type name");
     if matches!(iter.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
@@ -136,17 +112,13 @@ fn serde_tag_attr(attr_body: &Group) -> Option<String> {
                 (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit)))
                     if eq.as_char() == '=' =>
                 {
-                    return Some(unquote(&lit.to_string()));
+                    return Some(lit.to_string().trim_matches('"').to_string());
                 }
                 _ => return None,
             }
         }
     }
     None
-}
-
-fn unquote(lit: &str) -> String {
-    lit.trim_matches('"').to_string()
 }
 
 fn expect_ident(iter: &mut TokenIter, what: &str) -> String {
@@ -156,13 +128,18 @@ fn expect_ident(iter: &mut TokenIter, what: &str) -> String {
     }
 }
 
-/// Skips `#[...]` attributes and a `pub` / `pub(...)` visibility prefix.
-fn skip_attrs_and_vis(iter: &mut TokenIter) {
+/// Skips `#[...]` attributes (doc comments arrive as `#[doc = ...]`)
+/// and a `pub` / `pub(...)` visibility prefix, returning the tag of a
+/// `#[serde(tag = "...")]` among them.
+fn skip_attrs_and_vis(iter: &mut TokenIter) -> Option<String> {
+    let mut tag = None;
     loop {
         match iter.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 iter.next();
-                iter.next();
+                if let Some(TokenTree::Group(g)) = iter.next() {
+                    tag = serde_tag_attr(&g).or(tag);
+                }
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                 iter.next();
@@ -173,7 +150,7 @@ fn skip_attrs_and_vis(iter: &mut TokenIter) {
                     iter.next();
                 }
             }
-            _ => return,
+            _ => return tag,
         }
     }
 }
@@ -266,118 +243,81 @@ fn parse_variants(body: &Group) -> Vec<Variant> {
 }
 
 // ---------------------------------------------------------------- codegen
+//
+// The generated code calls the serde shim's JSON `Emitter` (`__e`) and
+// `Parser` (`__p`) directly. Object keys are written in byte order, fixed
+// here at expansion time, and read in any order.
 
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
-        ItemKind::NamedStruct(fields) => {
-            let mut out = String::from(
-                "let mut __map = ::std::collections::BTreeMap::new();\n",
-            );
-            for f in fields {
-                out.push_str(&format!(
-                    "__map.insert(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f}));\n"
-                ));
-            }
-            out.push_str("::serde::Value::Object(__map)");
-            out
-        }
-        ItemKind::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        ItemKind::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
-        }
-        ItemKind::UnitStruct => "::serde::Value::Null".to_string(),
+        ItemKind::NamedStruct(fields) => ser_object(fields, |f| format!("&self.{f}")),
+        ItemKind::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, __e);".to_string(),
+        ItemKind::TupleStruct(n) => ser_array((0..*n).map(|i| format!("&self.{i}"))),
+        ItemKind::UnitStruct => "__e.null();".to_string(),
         ItemKind::Enum(variants) => gen_serialize_enum(name, item.tag.as_deref(), variants),
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
+             fn serialize(&self, __e: &mut ::serde::Emitter) {{\n{body}\n}}\n\
          }}"
     )
+}
+
+/// Writes an object of `fields`, each read through `access(field)`.
+fn ser_object(fields: &[String], access: impl Fn(&str) -> String) -> String {
+    let mut sorted: Vec<&String> = fields.iter().collect();
+    sorted.sort();
+    let mut out = String::from("__e.begin_object();\n");
+    for f in sorted {
+        out.push_str(&format!(
+            "__e.key(\"{f}\"); ::serde::Serialize::serialize({}, __e);\n",
+            access(f)
+        ));
+    }
+    out.push_str("__e.end_object();\n");
+    out
+}
+
+/// Writes an array of the given element expressions.
+fn ser_array(elems: impl Iterator<Item = String>) -> String {
+    let mut out = String::from("__e.begin_array();\n");
+    for elem in elems {
+        out.push_str(&format!(
+            "__e.element(); ::serde::Serialize::serialize({elem}, __e);\n"
+        ));
+    }
+    out.push_str("__e.end_array();\n");
+    out
 }
 
 fn gen_serialize_enum(name: &str, tag: Option<&str>, variants: &[Variant]) -> String {
     let mut arms = String::new();
     for v in variants {
         let vn = &v.name;
-        let arm = match (&v.kind, tag) {
-            (VariantKind::Unit, None) => format!(
-                "{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),\n"
+        let (pattern, payload) = match &v.kind {
+            VariantKind::Unit => (String::new(), "__e.begin_object(); __e.end_object();".to_string()),
+            VariantKind::Newtype => (
+                "(__f0)".to_string(),
+                "::serde::Serialize::serialize(__f0, __e);".to_string(),
             ),
-            (VariantKind::Unit, Some(tag)) => format!(
-                "{name}::{vn} => {{\n\
-                     let mut __map = ::std::collections::BTreeMap::new();\n\
-                     __map.insert(\"{tag}\".to_string(), ::serde::Value::Str(\"{vn}\".to_string()));\n\
-                     ::serde::Value::Object(__map)\n\
-                 }}\n"
-            ),
-            (VariantKind::Newtype, None) => format!(
-                "{name}::{vn}(__f0) => {{\n\
-                     let mut __map = ::std::collections::BTreeMap::new();\n\
-                     __map.insert(\"{vn}\".to_string(), ::serde::Serialize::to_value(__f0));\n\
-                     ::serde::Value::Object(__map)\n\
-                 }}\n"
-            ),
-            (VariantKind::Newtype, Some(tag)) => format!(
-                "{name}::{vn}(__f0) => {{\n\
-                     match ::serde::Serialize::to_value(__f0) {{\n\
-                         ::serde::Value::Object(mut __map) => {{\n\
-                             __map.insert(\"{tag}\".to_string(), ::serde::Value::Str(\"{vn}\".to_string()));\n\
-                             ::serde::Value::Object(__map)\n\
-                         }}\n\
-                         __other => panic!(\"internally tagged variant {name}::{vn} must serialize to an object\"),\n\
-                     }}\n\
-                 }}\n"
-            ),
-            (VariantKind::Tuple(n), _) => {
+            VariantKind::Tuple(n) => {
                 let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                let elems: Vec<String> = binds
-                    .iter()
-                    .map(|b| format!("::serde::Serialize::to_value({b})"))
-                    .collect();
-                format!(
-                    "{name}::{vn}({}) => {{\n\
-                         let mut __map = ::std::collections::BTreeMap::new();\n\
-                         __map.insert(\"{vn}\".to_string(), ::serde::Value::Array(vec![{}]));\n\
-                         ::serde::Value::Object(__map)\n\
-                     }}\n",
-                    binds.join(", "),
-                    elems.join(", ")
-                )
+                (format!("({})", binds.join(", ")), ser_array(binds.into_iter()))
             }
-            (VariantKind::Struct(fields), tag) => {
-                let binds = fields.join(", ");
-                let mut inner = String::from(
-                    "let mut __inner = ::std::collections::BTreeMap::new();\n",
-                );
-                for f in fields {
-                    inner.push_str(&format!(
-                        "__inner.insert(\"{f}\".to_string(), ::serde::Serialize::to_value({f}));\n"
-                    ));
-                }
-                match tag {
-                    None => format!(
-                        "{name}::{vn} {{ {binds} }} => {{\n\
-                             {inner}\
-                             let mut __map = ::std::collections::BTreeMap::new();\n\
-                             __map.insert(\"{vn}\".to_string(), ::serde::Value::Object(__inner));\n\
-                             ::serde::Value::Object(__map)\n\
-                         }}\n"
-                    ),
-                    Some(tag) => format!(
-                        "{name}::{vn} {{ {binds} }} => {{\n\
-                             {inner}\
-                             __inner.insert(\"{tag}\".to_string(), ::serde::Value::Str(\"{vn}\".to_string()));\n\
-                             ::serde::Value::Object(__inner)\n\
-                         }}\n"
-                    ),
-                }
-            }
+            VariantKind::Struct(fields) => (
+                format!(" {{ {} }}", fields.join(", ")),
+                ser_object(fields, str::to_string),
+            ),
         };
-        arms.push_str(&arm);
+        let arm = match (tag, &v.kind) {
+            (Some(tag), _) => format!("__e.tagged(\"{tag}\", \"{vn}\", |__e| {{ {payload} }});"),
+            (None, VariantKind::Unit) => format!("__e.str(\"{vn}\");"),
+            (None, _) => format!(
+                "__e.begin_object(); __e.key(\"{vn}\");\n{payload}__e.end_object();"
+            ),
+        };
+        arms.push_str(&format!("{name}::{vn}{pattern} => {{ {arm} }}\n"));
     }
     format!("match self {{\n{arms}}}")
 }
@@ -385,152 +325,98 @@ fn gen_serialize_enum(name: &str, tag: Option<&str>, variants: &[Variant]) -> St
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
-        ItemKind::NamedStruct(fields) => {
-            let mut out = format!(
-                "let __map = ::serde::__private::as_object(__value, \"{name}\")?;\n\
-                 ::std::result::Result::Ok({name} {{\n"
-            );
-            for f in fields {
-                out.push_str(&format!("{f}: ::serde::__private::field(__map, \"{f}\")?,\n"));
-            }
-            out.push_str("})");
-            out
-        }
-        ItemKind::TupleStruct(1) => format!(
-            "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__value)?))"
-        ),
-        ItemKind::TupleStruct(n) => {
-            let mut out = format!(
-                "let __items = ::serde::__private::as_array(__value, \"{name}\")?;\n\
-                 if __items.len() != {n} {{\n\
-                     return ::std::result::Result::Err(::serde::DeError::msg(\n\
-                         format!(\"{name} expects {n} elements, got {{}}\", __items.len())));\n\
-                 }}\n\
-                 ::std::result::Result::Ok({name}(\n"
-            );
-            for i in 0..*n {
-                out.push_str(&format!("::serde::Deserialize::from_value(&__items[{i}])?,\n"));
-            }
-            out.push_str("))");
-            out
-        }
-        ItemKind::UnitStruct => format!("::std::result::Result::Ok({name})"),
-        ItemKind::Enum(variants) => match item.tag.as_deref() {
-            Some(tag) => gen_deserialize_tagged_enum(name, tag, variants),
-            None => gen_deserialize_plain_enum(name, variants),
-        },
+        ItemKind::NamedStruct(fields) => de_object(name, fields),
+        ItemKind::TupleStruct(1) => format!("{name}(::serde::Deserialize::deserialize(__p)?)"),
+        ItemKind::TupleStruct(n) => de_array(name, *n),
+        ItemKind::UnitStruct => format!("{{ __p.skip()?; {name} }}"),
+        ItemKind::Enum(variants) => gen_deserialize_enum(name, item.tag.as_deref(), variants),
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__value: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                 {body}\n\
+             fn deserialize(__p: &mut ::serde::Parser<'_>) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+                 ::std::result::Result::Ok({body})\n\
              }}\n\
          }}"
     )
 }
 
-fn gen_deserialize_plain_enum(name: &str, variants: &[Variant]) -> String {
-    let mut unit_arms = String::new();
-    let mut payload_arms = String::new();
-    for v in variants {
-        let vn = &v.name;
-        match &v.kind {
-            VariantKind::Unit => unit_arms.push_str(&format!(
-                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),\n"
-            )),
-            VariantKind::Newtype => payload_arms.push_str(&format!(
-                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(\
-                     ::serde::Deserialize::from_value(__payload)?)),\n"
-            )),
-            VariantKind::Tuple(n) => {
-                let mut arm = format!(
-                    "\"{vn}\" => {{\n\
-                         let __items = ::serde::__private::as_array(__payload, \"{name}::{vn}\")?;\n\
-                         if __items.len() != {n} {{\n\
-                             return ::std::result::Result::Err(::serde::DeError::msg(\n\
-                                 format!(\"{name}::{vn} expects {n} elements, got {{}}\", __items.len())));\n\
-                         }}\n\
-                         ::std::result::Result::Ok({name}::{vn}(\n"
-                );
-                for i in 0..*n {
-                    arm.push_str(&format!("::serde::Deserialize::from_value(&__items[{i}])?,\n"));
-                }
-                arm.push_str("))\n}\n");
-                payload_arms.push_str(&arm);
-            }
-            VariantKind::Struct(fields) => {
-                let mut arm = format!(
-                    "\"{vn}\" => {{\n\
-                         let __inner = ::serde::__private::as_object(__payload, \"{name}::{vn}\")?;\n\
-                         ::std::result::Result::Ok({name}::{vn} {{\n"
-                );
-                for f in fields {
-                    arm.push_str(&format!(
-                        "{f}: ::serde::__private::field(__inner, \"{f}\")?,\n"
-                    ));
-                }
-                arm.push_str("})\n}\n");
-                payload_arms.push_str(&arm);
-            }
-        }
+/// A block that reads an object into `path {{ fields }}`: one `Option`
+/// slot per field, filled from keys in any order; unknown keys skipped.
+fn de_object(path: &str, fields: &[String]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        slots.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "\"{f}\" => __f{i} = ::std::option::Option::Some(\
+                 ::serde::__private::decode_field(__p, \"{f}\")?),\n"
+        ));
+        inits.push_str(&format!("{f}: ::serde::__private::finish_field(__f{i}, \"{f}\")?,\n"));
     }
     format!(
-        "match __value {{\n\
-             ::serde::Value::Str(__s) => match __s.as_str() {{\n\
-                 {unit_arms}\
-                 __other => ::std::result::Result::Err(::serde::DeError::msg(\n\
-                     format!(\"unknown {name} variant `{{__other}}`\"))),\n\
-             }},\n\
-             ::serde::Value::Object(__outer) if __outer.len() == 1 => {{\n\
-                 let (__variant, __payload) = __outer.iter().next().unwrap();\n\
-                 match __variant.as_str() {{\n\
-                     {payload_arms}\
-                     __other => ::std::result::Result::Err(::serde::DeError::msg(\n\
-                         format!(\"unknown {name} variant `{{__other}}`\"))),\n\
-                 }}\n\
+        "{{\n{slots}\
+             __p.begin_object(\"{path} object\")?;\n\
+             while let ::std::option::Option::Some(__k) = __p.next_key()? {{\n\
+                 match &*__k {{\n{arms}_ => __p.skip()?,\n}}\n\
              }}\n\
-             __other => ::std::result::Result::Err(::serde::DeError::msg(\n\
-                 format!(\"cannot deserialize {name} from {{__other:?}}\"))),\n\
+             {path} {{\n{inits}}}\n\
          }}"
     )
 }
 
-fn gen_deserialize_tagged_enum(name: &str, tag: &str, variants: &[Variant]) -> String {
+/// A block that reads an `n`-item array into `path(..)`.
+fn de_array(path: &str, n: usize) -> String {
+    let elems = vec![format!("__p.element(\"{path}\", {n})?"); n];
+    format!(
+        "{{\n\
+             __p.begin_array(\"{path} array\")?;\n\
+             let __v = {path}({});\n\
+             __p.end_array(\"{path}\", {n})?;\n\
+             __v\n\
+         }}",
+        elems.join(", ")
+    )
+}
+
+/// Externally tagged: the variant name is a bare string or the one key
+/// of an object around the payload. Internally tagged: a skip-only scan
+/// finds the tag, then the variant reads the whole object, skipping the
+/// tag key as unknown.
+fn gen_deserialize_enum(name: &str, tag: Option<&str>, variants: &[Variant]) -> String {
     let mut arms = String::new();
     for v in variants {
         let vn = &v.name;
-        match &v.kind {
-            VariantKind::Unit => arms.push_str(&format!(
-                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),\n"
-            )),
-            VariantKind::Newtype => arms.push_str(&format!(
-                "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(\
-                     ::serde::Deserialize::from_value(__value)?)),\n"
-            )),
-            VariantKind::Tuple(_) => panic!(
-                "internally tagged enum {name} cannot hold tuple variant {vn}"
-            ),
-            VariantKind::Struct(fields) => {
-                let mut arm = format!(
-                    "\"{vn}\" => ::std::result::Result::Ok({name}::{vn} {{\n"
-                );
-                for f in fields {
-                    arm.push_str(&format!(
-                        "{f}: ::serde::__private::field(__map, \"{f}\")?,\n"
-                    ));
-                }
-                arm.push_str("}),\n");
-                arms.push_str(&arm);
+        let path = format!("{name}::{vn}");
+        let (payload, value) = match (&v.kind, tag) {
+            (VariantKind::Unit, None) => (false, path),
+            (VariantKind::Unit, Some(_)) => (true, format!("{{ __p.skip()?; {path} }}")),
+            (VariantKind::Newtype, _) => (true, format!("{path}(::serde::Deserialize::deserialize(__p)?)")),
+            (VariantKind::Tuple(n), None) => (true, de_array(&path, *n)),
+            (VariantKind::Tuple(_), Some(_)) => {
+                panic!("internally tagged enum {name} cannot hold tuple variant {vn}")
             }
-        }
+            (VariantKind::Struct(fields), _) => (true, de_object(&path, fields)),
+        };
+        arms.push_str(&format!("(\"{vn}\", {payload}) => {value},\n"));
     }
+    let (read_variant, close) = match tag {
+        None => (
+            format!("__p.variant(\"{name}\")?"),
+            format!("if __payload {{ __p.end_variant(\"{name}\")?; }}"),
+        ),
+        Some(tag) => (format!("(__p.find_tag(\"{tag}\", \"{name} object\")?, true)"), String::new()),
+    };
     format!(
-        "let __map = ::serde::__private::as_object(__value, \"{name}\")?;\n\
-         let __tag = ::serde::__private::tag(__map, \"{tag}\", \"{name}\")?;\n\
-         match __tag {{\n\
-             {arms}\
-             __other => ::std::result::Result::Err(::serde::DeError::msg(\n\
-                 format!(\"unknown {name} variant `{{__other}}`\"))),\n\
+        "{{\n\
+             let (__variant, __payload) = {read_variant};\n\
+             let __v = match (&*__variant, __payload) {{\n\
+                 {arms}\
+                 (__other, _) => return ::std::result::Result::Err(::serde::DeError::msg(\n\
+                     format!(\"unknown {name} variant `{{__other}}`\"))),\n\
+             }};\n\
+             {close}\n\
+             __v\n\
          }}"
     )
 }
